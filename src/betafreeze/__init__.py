@@ -11,12 +11,10 @@ This package provides:
 - explicit finite-k tail bounds and baselines (bounds)
 - reproducible Monte Carlo experiments and sweeps (experiment)
 
-Eigenvalue extraction dispatches between a compiled tridiagonal kernel and a
-dense fallback; see ``betafreeze.BACKEND`` and the ``BETAFREEZE_BACKEND``
-environment variable.
+Eigenvalues of the tridiagonal model come from one batched dense LAPACK
+eigensolve (``betafreeze._core.eigvals_batch``).
 """
 
-from ._core import BACKEND
 from .bounds import (
     BoundBreakdown,
     cor_bound,
@@ -89,7 +87,6 @@ from .stats import RunningMoments, clopper_pearson
 __version__ = "1.0.0"
 
 __all__ = [
-    "BACKEND",
     "SEED_ENV_VAR",
     "__version__",
     # errors

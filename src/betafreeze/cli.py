@@ -32,7 +32,6 @@ import numpy as np
 from . import bounds as _bounds
 from . import experiment as _experiment
 from . import sampler as _sampler
-from ._core import BACKEND
 from .errors import BetafreezeError, InvalidConfig
 from .experiment import ExperimentConfig, format_float
 from .hermite_core import (
@@ -150,8 +149,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_sample(args: argparse.Namespace) -> int:
     if args.n < 2:
         raise InvalidConfig(f"n must be >= 2, got {args.n}")
-    if not args.k > 0.0:
-        raise InvalidConfig(f"k must be positive, got {args.k}")
+    if not (args.k > 0.0 and math.isfinite(args.k)):
+        raise InvalidConfig(f"k must be positive and finite, got {args.k}")
     if args.trials < 1:
         raise InvalidConfig(f"trials must be >= 1, got {args.trials}")
     seed = default_seed() if args.seed is None else args.seed
@@ -178,8 +177,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
 def cmd_bounds(args: argparse.Namespace) -> int:
     if args.n < 2:
         raise InvalidConfig(f"n must be >= 2, got {args.n}")
-    if not args.k > 0.0:
-        raise InvalidConfig(f"k must be positive, got {args.k}")
+    if not (args.k > 0.0 and math.isfinite(args.k)):
+        raise InvalidConfig(f"k must be positive and finite, got {args.k}")
     if args.c is not None:
         eps = _bounds.cor_eps(args.k, args.c)
         cor = _bounds.cor_bound(args.n, args.k, args.c, enforce_condition=False)
@@ -345,10 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
             "Monte Carlo validation."
         ),
     )
-    parser.add_argument(
-        "--backend-info", action="store_true",
-        help="print the active eigenvalue backend and exit",
-    )
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("zeros", help="Hermite zeros with identity residuals")
@@ -410,9 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "backend_info", False) and not getattr(args, "command", None):
-        print(f"backend={BACKEND}")
-        return 0
     if not getattr(args, "command", None):
         parser.print_help()
         return 2

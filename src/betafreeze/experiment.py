@@ -18,6 +18,7 @@ sup_u == sqrt(2k) * sup_s hold exactly, bit for bit, by construction.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -109,8 +110,8 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.n < 2:
             raise InvalidConfig(f"n must be >= 2, got {self.n}")
-        if not self.k > 0.0:
-            raise InvalidConfig(f"k must be positive, got {self.k}")
+        if not (self.k > 0.0 and math.isfinite(self.k)):
+            raise InvalidConfig(f"k must be positive and finite, got {self.k}")
         if self.trials < 1:
             raise InvalidConfig(f"trials must be >= 1, got {self.trials}")
         if self.workers < 1:
@@ -157,13 +158,16 @@ def _run_workers(worker_fn: Callable[[int, int], object], counts: Sequence[int])
     """Run worker_fn(worker_index, worker_trials) for each worker.
 
     Results are returned in worker order regardless of scheduling; workers
-    with zero trials are skipped (their result is None).
+    with zero trials are skipped (their result is None).  The pool has at
+    most one thread per CPU; each logical worker keeps its own stream and
+    block of trials, so the results do not depend on the pool size.
     """
     jobs = [(w, t) for w, t in enumerate(counts) if t > 0]
     if len(jobs) <= 1:
         results: dict[int, object] = {w: worker_fn(w, t) for w, t in jobs}
     else:
-        with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
+        threads = min(len(jobs), os.cpu_count() or 1)
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             futures = {w: pool.submit(worker_fn, w, t) for w, t in jobs}
             results = {w: f.result() for w, f in futures.items()}
     return [results.get(w) for w in range(len(counts))]

@@ -130,8 +130,8 @@ def build_tridiagonal(n: int, k: float, rng: np.random.Generator) -> Tridiagonal
     """One draw of the random tridiagonal matrix whose spectrum is X."""
     if n < 2:
         raise InvalidConfig(f"n must be >= 2, got {n}")
-    if not k > 0.0:
-        raise InvalidConfig(f"k must be positive, got {k}")
+    if not (k > 0.0 and math.isfinite(k)):
+        raise InvalidConfig(f"k must be positive and finite, got {k}")
     diag = rng.standard_normal(n)
     offdiag = sample_chi(rng, _offdiag_dof(n, k)) / _SQRT2
     return TridiagonalMatrix(n=n, diag=diag, offdiag=offdiag)
@@ -140,9 +140,8 @@ def build_tridiagonal(n: int, k: float, rng: np.random.Generator) -> Tridiagonal
 def eigen_tridiagonal(t: TridiagonalMatrix) -> np.ndarray:
     """Eigenvalues of the tridiagonal matrix, descending, values only.
 
-    Dispatches to the compiled QL kernel or the NumPy fallback (see
-    betafreeze._core.BACKEND).  Raises ConvergenceFailure if the shift
-    iteration exceeds its sweep budget.
+    Solved by the batched dense eigensolver in betafreeze._core.  Raises
+    ConvergenceFailure if LAPACK fails to converge.
     """
     return _core.eigvals_batch(t.diag[None, :], t.offdiag[None, :])[0]
 
@@ -165,8 +164,8 @@ def sample_tridiagonal_batch(
     """
     if n < 2:
         raise InvalidConfig(f"n must be >= 2, got {n}")
-    if not k > 0.0:
-        raise InvalidConfig(f"k must be positive, got {k}")
+    if not (k > 0.0 and math.isfinite(k)):
+        raise InvalidConfig(f"k must be positive and finite, got {k}")
     if trials < 1:
         raise InvalidConfig(f"trials must be >= 1, got {trials}")
     d = rng.standard_normal((trials, n))
@@ -180,7 +179,6 @@ def sample_eigenvalue_batch(
     k: float,
     rng: np.random.Generator,
     trials: int,
-    backend: str | None = None,
 ) -> np.ndarray:
     """(trials, n) array of independent ordered draws, descending rows.
 
@@ -188,7 +186,7 @@ def sample_eigenvalue_batch(
     from :func:`sample_tridiagonal_batch`, then the batch eigensolver runs.
     """
     d, e = sample_tridiagonal_batch(n, k, rng, trials)
-    return _core.eigvals_batch(d, e, backend=backend)
+    return _core.eigvals_batch(d, e)
 
 
 def first_order_map(n: int) -> np.ndarray:

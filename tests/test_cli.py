@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import betafreeze as bf
+from betafreeze.cli import main
 
 
 def run_cli(*args, env_extra=None):
@@ -170,6 +171,23 @@ def test_exit_codes():
     assert run_cli().returncode == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["tail", "--n", "2", "--k", "inf", "--eps", "1", "--norm", "l2",
+     "--trials", "1000"],
+    ["tail", "--n", "2", "--k", "inf", "--c", "1", "--norm", "l2",
+     "--trials", "1000"],
+    ["sample", "--n", "2", "--k", "inf", "--trials", "2"],
+    ["tail", "--n", "3", "--k", "inf", "--eps", "1", "--norm", "sup",
+     "--trials", "1000"],
+    ["bounds", "--n", "2", "--k", "inf", "--eps", "0.1"],
+])
+def test_infinite_k_rejected(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "k must be positive and finite" in captured.err
+
+
 def test_invalid_sweep_config_values(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"n": [1], "k": [10.0], "c": [1.0], "trials": 5}))
@@ -178,18 +196,6 @@ def test_invalid_sweep_config_values(tmp_path):
     assert run_cli("sweep", "--config", str(bad)).returncode == 2
     bad.write_text(json.dumps({"n": [2], "k": [10.0], "trials": 5}))  # no c
     assert run_cli("sweep", "--config", str(bad)).returncode == 2
-
-
-def test_backend_info_flag():
-    r = run_cli("--backend-info")
-    assert r.returncode == 0
-    assert r.stdout.strip() == f"backend={bf.BACKEND}"
-
-
-def test_backend_env_forced_fallback():
-    r = run_cli("--backend-info", env_extra={"BETAFREEZE_BACKEND": "fallback"})
-    assert r.returncode == 0
-    assert r.stdout.strip() == "backend=fallback"
 
 
 def test_seed_env_garbage_rejected():

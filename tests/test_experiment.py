@@ -3,11 +3,13 @@ reproducibility, sweep schema and failure semantics."""
 
 import math
 import os
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
 import betafreeze as bf
+from betafreeze import experiment
 from betafreeze.errors import InvalidConfig
 from betafreeze.experiment import CHUNK, SWEEP_COLUMNS, _partition, format_float
 
@@ -140,6 +142,39 @@ def test_worker_counts_statistically_consistent():
     est4 = bf.estimate_tail_l2(bf.ExperimentConfig(workers=4, **base))
     # different partitions see different draws; their 99% CIs must overlap
     assert est1.ci_low <= est4.ci_high and est4.ci_low <= est1.ci_high
+
+
+def test_thread_pool_capped_at_cpu_count(monkeypatch):
+    cfg = bf.ExperimentConfig(n=3, k=50.0, trials=4000, seed=13, eps=0.2,
+                              workers=8)
+    want = bf.estimate_tail_l2(cfg)
+
+    pool_sizes = []
+
+    class SerialPool:
+        """Runs each job at submit time; records the requested pool size."""
+
+        def __init__(self, max_workers):
+            pool_sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(experiment, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert bf.estimate_tail_l2(cfg) == want
+    assert pool_sizes == [2]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert bf.estimate_tail_l2(cfg) == want
+    assert pool_sizes == [2, 1]
 
 
 # ----------------------------------------------------------------------

@@ -1,0 +1,22 @@
+"""Repository hygiene: no tracked file is one that .gitignore ignores."""
+
+import shutil
+import subprocess
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.skipif(
+    shutil.which("git") is None or not (ROOT / ".git").exists(),
+    reason="needs git and a git checkout",
+)
+def test_no_tracked_file_is_ignored():
+    r = subprocess.run(
+        ["git", "ls-files", "-ci", "--exclude-standard"],
+        cwd=ROOT, capture_output=True, text=True,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "", "tracked files that .gitignore ignores:\n" + r.stdout

@@ -125,16 +125,6 @@ def test_batch_matches_dense_oracle(rng):
         np.testing.assert_allclose(lam[row], want, rtol=0, atol=1e-10)
 
 
-@pytest.mark.skipif(bf.BACKEND != "compiled", reason="compiled kernel absent")
-def test_backend_equivalence(rng):
-    d = rng.standard_normal((300, 9))
-    e = np.abs(rng.standard_normal((300, 8))) + 1e-3
-    got_c = eigvals_batch(d, e, backend="compiled")
-    got_f = eigvals_batch(d, e, backend="fallback")
-    scale = float(np.max(np.abs(got_f)))
-    np.testing.assert_allclose(got_c, got_f, rtol=0, atol=1e-11 * scale)
-
-
 def test_tridiagonal_batch_is_the_sampling_stream():
     # sample_eigenvalue_batch is the eigensolve of sample_tridiagonal_batch's
     # draws on the same stream, bit for bit.
