@@ -11,8 +11,9 @@ This package provides:
 - explicit finite-k tail bounds and baselines (bounds)
 - reproducible Monte Carlo experiments and sweeps (experiment)
 
-Eigenvalues of the tridiagonal model come from one batched dense LAPACK
-eigensolve (``betafreeze._core.eigvals_batch``).
+Eigenvalues of the tridiagonal model come from ``betafreeze._core.eigvals_batch``:
+certified Newton refinement of the first-order term in the frozen regime,
+batched dense LAPACK ``eigvalsh`` for every other row.
 """
 
 from .bounds import (

@@ -61,8 +61,8 @@ def _validate_nke(N: int, k: float, eps: float) -> None:
         raise InvalidConfig(f"N must be >= 2, got {N}")
     if not k >= 1.0:
         raise InvalidConfig(f"k must be >= 1, got {k}")
-    if not eps > 0.0:
-        raise InvalidConfig(f"eps must be positive, got {eps}")
+    if not (eps > 0.0 and math.isfinite(eps)):
+        raise InvalidConfig(f"eps must be positive and finite, got {eps}")
 
 
 def prop_condition(N: int, k: float, eps: float) -> bool:
@@ -75,7 +75,10 @@ def prop_condition(N: int, k: float, eps: float) -> bool:
 
 
 def _term_quartic(N: int, k: float, eps: float) -> float:
-    return (32.0 / 3.0) * eps**4 * k * N**3
+    # (k eps^2) eps^2 neither underflows nor overflows where eps**4 alone
+    # would (k = 1e200, eps = 1e-90 gives ~8.5e-159, not 0); float products
+    # reach inf rather than raising OverflowError.
+    return (32.0 / 3.0) * (k * eps * eps) * (eps * eps) * N**3
 
 
 def prop_bound(N: int, k: float, eps: float) -> BoundBreakdown:
@@ -93,7 +96,9 @@ def prop_bound(N: int, k: float, eps: float) -> BoundBreakdown:
         + math.log1p(2.0 * keps2)
         - keps2
     )
-    tg = math.exp(log_gauss)
+    # Where k eps^2 overflows, log1p(2 k eps^2) - k eps^2 is inf - inf; the
+    # Gaussian term itself is 0 there.
+    tg = math.exp(log_gauss) if keps2 < math.inf else 0.0
     total = tq - ts + tg
     return BoundBreakdown(
         term_quartic=tq,
@@ -111,8 +116,8 @@ def cor_eps(k: float, c: float) -> float:
     """The threshold eps = c sqrt(ln k / k) used by the log-threshold bound."""
     if not k > 1.0:
         raise InvalidConfig(f"need k > 1 for the log threshold, got {k}")
-    if not c > 0.0:
-        raise InvalidConfig(f"c must be positive, got {c}")
+    if not (c > 0.0 and math.isfinite(c)):
+        raise InvalidConfig(f"c must be positive and finite, got {c}")
     return c * math.sqrt(math.log(k) / k)
 
 
@@ -153,7 +158,7 @@ def cor_bound_terms(N: int, k: float, c: float) -> tuple[float, float]:
     log_second = (
         _HALF_LN_E + math.log(N) - math.log(2.0) + math.log1p(2.0 * c2lnk) - c2lnk
     )
-    return first, math.exp(log_second)
+    return first, math.exp(log_second) if c2lnk < math.inf else 0.0
 
 
 def cor_bound(N: int, k: float, c: float, enforce_condition: bool = True) -> float:

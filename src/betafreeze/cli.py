@@ -230,6 +230,10 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 def cmd_tail(args: argparse.Namespace) -> int:
+    # The library takes eps = inf as the event with no hits; on the command
+    # line it is a mistake.
+    if args.eps is not None and not math.isfinite(args.eps):
+        raise InvalidConfig(f"eps must be finite, got {args.eps}")
     seed = default_seed() if args.seed is None else args.seed
     cfg = ExperimentConfig(
         n=args.n, k=args.k, trials=args.trials, seed=seed,

@@ -124,14 +124,15 @@ class ExperimentConfig:
             raise InvalidConfig(f"format must be csv or json, got {self.fmt}")
 
     def resolve_eps(self) -> float:
+        """The tail threshold.  eps = inf is the trivial event (no hits);
+        c must be finite, since eps = c sqrt(ln k / k) would be inf or NaN.
+        """
         if (self.eps is None) == (self.c is None):
             raise InvalidConfig("exactly one of eps or c must be given")
         if self.eps is not None:
             if not self.eps > 0.0:
                 raise InvalidConfig(f"eps must be positive, got {self.eps}")
             return float(self.eps)
-        if not self.c > 0.0:
-            raise InvalidConfig(f"c must be positive, got {self.c}")
         return _bounds.cor_eps(self.k, self.c)
 
 

@@ -16,6 +16,7 @@ exposes the exact identities used everywhere downstream:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -160,6 +161,7 @@ def _newton_ratio(n: int, x: np.ndarray) -> np.ndarray:
 # Zeros
 # ----------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=32)
 def compute_zeros(n: int, tol: float = 1e-12) -> HermiteZeros:
     """Zeros of H_n, strictly descending, to fixed-point residual <= tol.
 
@@ -171,7 +173,8 @@ def compute_zeros(n: int, tol: float = 1e-12) -> HermiteZeros:
 
     Raises ConvergenceFailure if the polished vector does not reach the
     requested fixed-point residual (i.e. the tolerance is tighter than the
-    working precision supports).
+    working precision supports).  Results are cached by (n, tol); the
+    returned HermiteZeros is immutable, so callers share it.
     """
     if n < 2:
         raise InvalidConfig(f"order must be >= 2, got {n}")

@@ -20,6 +20,7 @@ independent (approximate) oracle for desk-scale cross-validation at n <= 3.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -140,7 +141,7 @@ def build_tridiagonal(n: int, k: float, rng: np.random.Generator) -> Tridiagonal
 def eigen_tridiagonal(t: TridiagonalMatrix) -> np.ndarray:
     """Eigenvalues of the tridiagonal matrix, descending, values only.
 
-    Solved by the batched dense eigensolver in betafreeze._core.  Raises
+    Solved by the batched eigensolver in betafreeze._core.  Raises
     ConvergenceFailure if LAPACK fails to converge.
     """
     return _core.eigvals_batch(t.diag[None, :], t.offdiag[None, :])[0]
@@ -189,6 +190,7 @@ def sample_eigenvalue_batch(
     return _core.eigvals_batch(d, e)
 
 
+@functools.lru_cache(maxsize=32)
 def first_order_map(n: int) -> np.ndarray:
     """(n, 2n-1) matrix A of the first-order eigenvalue perturbation.
 
@@ -203,13 +205,18 @@ def first_order_map(n: int) -> np.ndarray:
 
     (Dumitriu-Edelman, large-beta asymptotics).  Since Var d_i = 1 and
     Var delta_i -> 1/4, A diag(1, 1/4) A^T is the limit covariance S^-1.
+    Also A (0, sqrt(n-i)) = sqrt(2) z: to first order, scaling T0 scales
+    its eigenvalues, so A (d, e) is the first-order eigenvalue estimate
+    whatever the scale k.  Results are cached by n and read-only.
     """
     if n < 2:
         raise InvalidConfig(f"n must be >= 2, got {n}")
     t0 = np.diag(np.sqrt(np.arange(n - 1, 0, -1, dtype=float)), 1)
     _, vecs = np.linalg.eigh(t0 + t0.T)
     v = vecs[:, ::-1]
-    return np.hstack([(v * v).T, (2.0 * v[:-1] * v[1:]).T])
+    a = np.hstack([(v * v).T, (2.0 * v[:-1] * v[1:]).T])
+    a.setflags(write=False)
+    return a
 
 
 # ----------------------------------------------------------------------

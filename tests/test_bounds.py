@@ -232,3 +232,26 @@ def test_optimize_delta_minimizes(rng):
     assert bf.optimize_delta(-2.0) == 0.0
     assert bf.optimize_delta(-1.0) == 0.0
     assert bf.optimize_delta(3.0) == 0.0
+
+
+def test_nonfinite_eps_and_c_rejected():
+    with pytest.raises(InvalidConfig):
+        bf.prop_bound(2, 1e4, math.inf)
+    with pytest.raises(InvalidConfig):
+        bf.cor_eps(1e4, math.inf)
+    with pytest.raises(InvalidConfig):
+        bf.ExperimentConfig(n=2, k=1e4, trials=10, seed=0, c=math.inf).resolve_eps()
+
+
+def test_quartic_term_at_extreme_scales():
+    # eps**4 underflowed here and left total = -3.8e-202; the quartic term
+    # is (32/3) k eps^4 N^3 = 8.533e-159.
+    bd = bf.prop_bound(2, 1e200, 1e-90)
+    assert bd.term_quartic == pytest.approx(256.0 / 3.0 * 1e-160, rel=1e-12)
+    assert bd.total > 0.0
+    # eps**4 raised OverflowError here; k eps^2 itself overflows at 1e160.
+    for eps in (1e100, 1e160):
+        bd = bf.prop_bound(2, 1e4, eps)
+        assert bd.term_quartic == bd.total == math.inf
+        assert bd.total_clamped == 1.0
+    assert bf.cor_bound(2, 1e4, 1e200, enforce_condition=False) == math.inf

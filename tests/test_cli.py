@@ -202,3 +202,31 @@ def test_seed_env_garbage_rejected():
     r = run_cli("sample", "--n", "2", "--k", "1", "--trials", "1",
                 env_extra={"BETAFREEZE_SEED": "not-a-number"})
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--n", "2", "--k", "1e4", "--eps", "inf"],
+    ["bounds", "--n", "2", "--k", "1e4", "--c", "inf"],
+    ["tail", "--n", "2", "--k", "1e4", "--eps", "inf", "--norm", "l2",
+     "--trials", "1000"],
+    ["tail", "--n", "2", "--k", "1e4", "--c", "inf", "--norm", "sup",
+     "--trials", "1000"],
+    ["bounds", "--n", "2", "--k", "1e4", "--eps", "1e100"],
+    ["bounds", "--n", "2", "--k", "1e4", "--c", "1e80"],
+    ["bounds", "--n", "2", "--k", "1e4", "--c", "1e200", "--format", "json"],
+    ["bounds", "--n", "2", "--k", "1e200", "--eps", "1e-90"],
+])
+def test_boundary_values_never_print_nan(argv, capsys):
+    # Infinite thresholds are invalid (exit 2); huge or tiny finite ones
+    # give a finite or infinite bound, never NaN and never total <= 0.
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == (2 if "inf" in argv else 0)
+    assert "nan" not in out.lower()
+    if argv[0] == "bounds" and code == 0:
+        if "json" in argv:
+            total = json.loads(out)["total"]
+        else:
+            header, row = out.strip().split("\n")
+            total = float(dict(zip(header.split(","), row.split(",")))["total"])
+        assert total > 0.0

@@ -311,3 +311,12 @@ def test_stirling_mu_positive_decreasing(x):
     mu_x = bf.stirling_mu(x).mu
     mu_2x = bf.stirling_mu(2.0 * x).mu
     assert 0.0 < mu_2x < mu_x
+
+
+def test_zeros_cached_read_only():
+    first = bf.compute_zeros(29)
+    assert bf.compute_zeros(29) is first
+    assert not first.zeros.flags.writeable
+    uncached = bf.compute_zeros.__wrapped__(29)
+    assert uncached is not first
+    np.testing.assert_array_equal(first.zeros, uncached.zeros)

@@ -1,12 +1,26 @@
 """Batched tridiagonal eigensolver: adversarial matrices, agreement with
-SciPy, chunking, convergence-failure surfacing."""
+SciPy, chunking, convergence-failure surfacing, and the frozen-regime
+Newton path with its certificate and dense fallback."""
+
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from betafreeze._core import _DENSE_BUDGET, eigvals_batch
+from betafreeze import _core, sampler
+from betafreeze._core import (
+    _DENSE_BUDGET,
+    _brackets_hold,
+    _certified_newton,
+    _dense,
+    _frozen_gate,
+    _frozen_rows,
+    eigvals_batch,
+)
 from betafreeze.errors import ConvergenceFailure, InvalidConfig
+from betafreeze.rng import master_stream
+from betafreeze.sampler import first_order_map, sample_tridiagonal_batch
 
 
 def _reference(d, e):
@@ -96,5 +110,133 @@ def test_solver_failure_is_convergence_failure():
     e[1, 1] = np.nan
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.eigvalsh(np.diag(d[1]) + np.diag(e[1], 1) + np.diag(e[1], -1))
+    with pytest.raises(ConvergenceFailure):
+        eigvals_batch(d, e)
+
+
+# ----------------------------------------------------------------------
+# frozen-regime Newton path
+# ----------------------------------------------------------------------
+
+def _ensemble_rows(n, k, rows, seed=11):
+    return sample_tridiagonal_batch(n, k, master_stream(seed), rows)
+
+
+@pytest.mark.parametrize("n", (2, 3, 5, 8, 32))
+@pytest.mark.parametrize("k", (1.0, 1e2, 1e4, 1e8))
+def test_frozen_path_against_reference(n, k):
+    d, e = _ensemble_rows(n, k, 300)
+    want = _reference(d, e)
+    got = eigvals_batch(d, e)
+    scale = np.max(np.abs(want), axis=1, keepdims=True)
+    assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("n", (2, 3, 5, 8, 32))
+def test_frozen_regime_never_falls_back(n):
+    # Every row at k >= 1e3 passes the gate and is certified by Newton,
+    # without a warning.
+    for k in (1e3, 1e4, 1e8):
+        d, e = _ensemble_rows(n, k, 3000)
+        out = np.empty(d.shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            frozen = _frozen_gate(e)
+            accepted = _frozen_rows(d, e, np.flatnonzero(frozen), out)
+        assert frozen.all()
+        assert accepted.all()
+        np.testing.assert_array_equal(out, eigvals_batch(d, e))
+
+
+@pytest.mark.parametrize("k", (2.0, 5.0))
+def test_small_k_stays_on_dense_path(k, monkeypatch):
+    # Below the gate no row reaches the Newton path, so the call is the
+    # dense solve alone.
+    d, e = _ensemble_rows(4, k, 2000)
+    assert not _frozen_gate(e).any()
+
+    def newton_called(*args):
+        raise AssertionError("gated-out rows reached the Newton path")
+
+    monkeypatch.setattr(_core, "_frozen_rows", newton_called)
+    np.testing.assert_array_equal(eigvals_batch(d, e), _dense(d, e))
+
+
+def test_mixed_batch_splits_by_row():
+    # Interleaved rows below and above the gate: each row gets what it gets
+    # in a batch of its own kind, dense below the gate and Newton above.
+    lo = _ensemble_rows(5, 5.0, 300, seed=3)
+    hi = _ensemble_rows(5, 1e4, 300, seed=4)
+    d = np.empty((600, 5))
+    e = np.empty((600, 4))
+    d[0::2], e[0::2] = lo
+    d[1::2], e[1::2] = hi
+    got = eigvals_batch(d, e)
+    np.testing.assert_array_equal(got[0::2], _dense(*lo))
+    np.testing.assert_array_equal(got[1::2], eigvals_batch(*hi))
+
+
+def test_frozen_batch_rows_independent():
+    # 600 rows at n = 32 span two Newton blocks; rows 511 and 512 sit on
+    # either side of the boundary.
+    d, e = _ensemble_rows(32, 1e4, 600)
+    whole = eigvals_batch(d, e)
+    for row in (0, 511, 512, 599):
+        single = eigvals_batch(d[row:row + 1], e[row:row + 1])
+        np.testing.assert_array_equal(whole[row], single[0])
+    np.testing.assert_array_equal(whole[100:300], eigvals_batch(d[100:300], e[100:300]))
+
+
+@pytest.mark.parametrize("corrupt", ("swap", "duplicate"))
+def test_wrong_root_fails_certificate(corrupt, monkeypatch):
+    # A warm start whose first two roots are swapped, or both placed at the
+    # top root, makes Newton converge to the wrong roots; the certificate
+    # must reject every row, which then comes from the dense path.
+    n = 5
+    d, e = _ensemble_rows(n, 1e4, 200)
+    good = first_order_map(n)
+    bad = good.copy()
+    bad[1] = good[0]
+    if corrupt == "swap":
+        bad[0] = good[1]
+    with np.errstate(all="ignore"):
+        roots, ok = _certified_newton(np.concatenate([d, e], axis=1).T.copy(), bad)
+    dense = _dense(d, e)
+    wrong = dense[:, [1, 0]] if corrupt == "swap" else dense[:, [0, 0]]
+    np.testing.assert_allclose(roots[:2].T, wrong, rtol=1e-12)
+    assert not ok.any()
+    monkeypatch.setattr(sampler, "first_order_map", lambda m: bad)
+    np.testing.assert_array_equal(eigvals_batch(d, e), dense)
+
+
+def test_each_certificate_check_rejects_alone():
+    # The exact roots pass; a root moved far above the top eigenvalue fails
+    # the Sturm counts though the discs fit; a radius wider than the gaps
+    # fails the disc check though the counts are right; a zero pivot fails
+    # the pivot check alone.
+    d, e = _ensemble_rows(6, 1e4, 40)
+    dt, e2 = d.T.copy(), (e * e).T.copy()
+    roots = _dense(d, e).T.copy()
+    zero = np.zeros(roots.shape[1])
+    assert _brackets_hold(roots, zero, dt, e2).all()
+    moved = roots.copy()
+    moved[0] += 1e3
+    assert not _brackets_hold(moved, zero, dt, e2).any()
+    gaps = np.min(roots[:-1] - roots[1:], axis=0)
+    assert not _brackets_hold(roots, 0.6 * gaps, dt, e2).any()
+    # d = (0, 0), e = 1: the midpoint of the roots +-1 is d_0, so the first
+    # pivot is exactly 0, though the count and the discs come out right.
+    with np.errstate(divide="ignore"):
+        assert not _brackets_hold(
+            np.array([[1.0], [-1.0]]), np.zeros(1), np.zeros((2, 1)), np.ones((1, 1))
+        ).any()
+
+
+@pytest.mark.parametrize("where", ("diagonal", "off-diagonal"))
+def test_nan_in_frozen_batch_is_convergence_failure(where):
+    # A NaN row fails the gate (off-diagonal) or the certificate (diagonal),
+    # reaches the dense path and surfaces as ConvergenceFailure.
+    d, e = _ensemble_rows(8, 1e4, 50)
+    (d if where == "diagonal" else e)[7, 2] = np.nan
     with pytest.raises(ConvergenceFailure):
         eigvals_batch(d, e)

@@ -255,3 +255,12 @@ def test_mh_oracle_validation():
         bf.mh_oracle_chain(2, 11.0, rng, draws=10)
     with pytest.raises(InvalidConfig):
         bf.mh_oracle_chain(2, 1.0, rng, draws=0)
+
+
+def test_first_order_map_cached_read_only():
+    first = bf.first_order_map(12)
+    assert bf.first_order_map(12) is first
+    assert not first.flags.writeable
+    uncached = bf.first_order_map.__wrapped__(12)
+    assert uncached is not first
+    np.testing.assert_array_equal(first, uncached)
