@@ -62,17 +62,11 @@ from .hermite_core import (
 )
 from .rng import SEED_ENV_VAR, default_seed, master_stream, worker_streams
 from .sampler import (
-    EnsembleSample,
-    TridiagonalMatrix,
-    build_tridiagonal,
     chi_variance,
-    eigen_tridiagonal,
     first_order_map,
     mh_oracle_chain,
-    mh_oracle_sample,
     sample_chi,
     sample_eigenvalue_batch,
-    sample_ensemble,
     sample_tridiagonal_batch,
 )
 from .spectral import (
@@ -117,18 +111,12 @@ __all__ = [
     "min_gap",
     "sample_gaussian_limit",
     # sampler
-    "TridiagonalMatrix",
-    "EnsembleSample",
     "sample_chi",
     "chi_variance",
-    "build_tridiagonal",
-    "eigen_tridiagonal",
-    "sample_ensemble",
     "sample_tridiagonal_batch",
     "sample_eigenvalue_batch",
     "first_order_map",
     "mh_oracle_chain",
-    "mh_oracle_sample",
     # bounds
     "BoundBreakdown",
     "prop_condition",

@@ -29,7 +29,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConditionViolated, InvalidConfig
+from .errors import (
+    ConditionViolated,
+    InvalidConfig,
+    check_k,
+    check_n,
+    check_threshold,
+)
 
 _HALF_LN_E = 0.5  # ln sqrt(e)
 
@@ -57,12 +63,26 @@ class BoundBreakdown:
 
 
 def _validate_nke(N: int, k: float, eps: float) -> None:
-    if N < 2:
-        raise InvalidConfig(f"N must be >= 2, got {N}")
-    if not k >= 1.0:
+    check_n(N, "N")
+    check_k(k)
+    if k < 1.0:
         raise InvalidConfig(f"k must be >= 1, got {k}")
-    if not (eps > 0.0 and math.isfinite(eps)):
-        raise InvalidConfig(f"eps must be positive and finite, got {eps}")
+    check_threshold(eps)
+
+
+def _validate_log_threshold(k: float, c: float) -> None:
+    check_k(k)
+    if k <= 1.0:
+        raise InvalidConfig(f"need k > 1 for the log threshold, got {k}")
+    check_threshold(c, "c")
+
+
+def _exp(x: float) -> float:
+    """e**x, inf where it overflows (math.exp raises OverflowError there)."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def prop_condition(N: int, k: float, eps: float) -> bool:
@@ -98,12 +118,12 @@ def prop_bound(N: int, k: float, eps: float) -> BoundBreakdown:
     )
     # Where k eps^2 overflows, log1p(2 k eps^2) - k eps^2 is inf - inf; the
     # Gaussian term itself is 0 there.
-    tg = math.exp(log_gauss) if keps2 < math.inf else 0.0
+    tg = _exp(log_gauss) if keps2 < math.inf else 0.0
     total = tq - ts + tg
     return BoundBreakdown(
         term_quartic=tq,
         term_stirling=ts,
-        e_factor=math.exp(log_e),
+        e_factor=_exp(log_e),
         term_gaussian=tg,
         total=total,
         total_clamped=min(1.0, max(0.0, total)),
@@ -114,10 +134,7 @@ def prop_bound(N: int, k: float, eps: float) -> BoundBreakdown:
 
 def cor_eps(k: float, c: float) -> float:
     """The threshold eps = c sqrt(ln k / k) used by the log-threshold bound."""
-    if not k > 1.0:
-        raise InvalidConfig(f"need k > 1 for the log threshold, got {k}")
-    if not (c > 0.0 and math.isfinite(c)):
-        raise InvalidConfig(f"c must be positive and finite, got {c}")
+    _validate_log_threshold(k, c)
     return c * math.sqrt(math.log(k) / k)
 
 
@@ -127,12 +144,8 @@ def cor_condition(N: int, k: float, c: float) -> bool:
     This is the validity window of prop_condition re-expressed for the
     threshold eps = c sqrt(ln k / k).
     """
-    if N < 2:
-        raise InvalidConfig(f"N must be >= 2, got {N}")
-    if not k > 1.0:
-        raise InvalidConfig(f"k must be > 1, got {k}")
-    if not c > 0.0:
-        raise InvalidConfig(f"c must be positive, got {c}")
+    check_n(N, "N")
+    _validate_log_threshold(k, c)
     lnk = math.log(k)
     return (
         math.sqrt((1.0 + math.log(N)) / (2.0 * lnk))
@@ -151,6 +164,7 @@ def cor_bound_terms(N: int, k: float, c: float) -> tuple[float, float]:
     sqrt(N) (valid since sqrt(N) <= N), with the e_factor dropped (E <= 1 in
     the validity window).
     """
+    check_n(N, "N")
     eps = cor_eps(k, c)
     first = _term_quartic(N, k, eps)
     lnk = math.log(k)
@@ -184,8 +198,7 @@ def dette_imhof_bound(N: int, eps_unscaled: float) -> float:
     l2 norm, pass eps_unscaled = sqrt(2k) * eps; since sup-norm <= l2-norm,
     that comparison is conservative for this bound's side.
     """
-    if N < 2:
-        raise InvalidConfig(f"N must be >= 2, got {N}")
+    check_n(N, "N")
     if not eps_unscaled >= 0.0:
         raise InvalidConfig(f"eps must be >= 0, got {eps_unscaled}")
     return 4.0 * N * math.exp(-eps_unscaled * eps_unscaled / 18.0)
@@ -211,15 +224,16 @@ def gaussian_tail_bound(N: int, eps: float) -> float:
 
     Returns 1.0 (vacuous) when r >= -2.
     """
-    if N < 2:
-        raise InvalidConfig(f"N must be >= 2, got {N}")
-    if not eps > 0.0:
-        raise InvalidConfig(f"eps must be positive, got {eps}")
+    check_n(N, "N")
+    check_threshold(eps)
     r = -eps * eps - 1.0 + math.log(N)
     delta = optimize_delta(r)
     if delta == 0.0:
         return 1.0
-    return math.exp(r * delta) / (1.0 - 2.0 * delta)
+    # Where 1 - 2 delta rounds to 0 (|r| > 2**54, or eps^2 = inf),
+    # e^{r delta} has long underflowed: the bound is 0.
+    gain = math.exp(r * delta)
+    return gain / (1.0 - 2.0 * delta) if gain > 0.0 else 0.0
 
 
 __all__ = [

@@ -32,7 +32,7 @@ import numpy as np
 from . import bounds as _bounds
 from . import experiment as _experiment
 from . import sampler as _sampler
-from .errors import BetafreezeError, InvalidConfig
+from .errors import BetafreezeError, InvalidConfig, check_n, check_trials
 from .experiment import ExperimentConfig, format_float
 from .hermite_core import (
     compute_zeros,
@@ -147,26 +147,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    if args.n < 2:
-        raise InvalidConfig(f"n must be >= 2, got {args.n}")
-    if not (args.k > 0.0 and math.isfinite(args.k)):
-        raise InvalidConfig(f"k must be positive and finite, got {args.k}")
-    if args.trials < 1:
-        raise InvalidConfig(f"trials must be >= 1, got {args.trials}")
+    # Each chunk is written as soon as it is drawn, so memory does not grow
+    # with trials; the header waits for the first draw, which validates n
+    # and k, so rejected input prints nothing.
     seed = default_seed() if args.seed is None else args.seed
     rng = worker_streams(seed, 1)[0]
-    lines = ["trial,i,lambda_i"]
-    remaining = args.trials
     trial = 0
-    while remaining > 0:
-        m = min(_experiment.CHUNK, remaining)
+    for m in _experiment.chunk_sizes(args.trials):
         lam = _sampler.sample_eigenvalue_batch(args.n, args.k, rng, m)
-        for row in lam:
-            for i, v in enumerate(row, start=1):
-                lines.append(f"{trial},{i},{format_float(float(v))}")
-            trial += 1
-        remaining -= m
-    _emit("\n".join(lines) + "\n", None)
+        if trial == 0:
+            sys.stdout.write("trial,i,lambda_i\n")
+        sys.stdout.write("".join(
+            f"{trial + r},{i},{format_float(float(v))}\n"
+            for r, row in enumerate(lam)
+            for i, v in enumerate(row, start=1)
+        ))
+        trial += m
     return 0
 
 
@@ -175,16 +171,10 @@ def cmd_sample(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    if args.n < 2:
-        raise InvalidConfig(f"n must be >= 2, got {args.n}")
-    if not (args.k > 0.0 and math.isfinite(args.k)):
-        raise InvalidConfig(f"k must be positive and finite, got {args.k}")
     if args.c is not None:
         eps = _bounds.cor_eps(args.k, args.c)
         cor = _bounds.cor_bound(args.n, args.k, args.c, enforce_condition=False)
     else:
-        if not args.eps > 0.0:
-            raise InvalidConfig(f"eps must be positive, got {args.eps}")
         eps = args.eps
         cor = None
     bd = _bounds.prop_bound(args.n, args.k, eps)
@@ -310,22 +300,25 @@ def _load_sweep_config(path: str) -> dict:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     raw = _load_sweep_config(args.config)
-    ns = [int(v) for v in raw["n"]]
-    ks = [float(v) for v in raw["k"]]
-    cs = [float(v) for v in raw["c"]]
-    trials = int(raw["trials"])
-    seed = int(raw["seed"]) if "seed" in raw else default_seed()
-    workers = int(raw.get("workers", 1))
-    confidence = float(raw.get("confidence", 0.99))
+    try:
+        ns = [int(v) for v in raw["n"]]
+        ks = [float(v) for v in raw["k"]]
+        cs = [float(v) for v in raw["c"]]
+        trials = int(raw["trials"])
+        seed = int(raw["seed"]) if "seed" in raw else default_seed()
+        workers = int(raw.get("workers", 1))
+        confidence = float(raw.get("confidence", 0.99))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidConfig(f"config value not a number: {exc}")
     out = raw.get("out")
-    if trials < 1:
-        raise InvalidConfig(f"trials must be >= 1, got {trials}")
-    if any(n < 2 for n in ns):
-        raise InvalidConfig("all grid values of n must be >= 2")
-    if any(not k > 1.0 for k in ks):
-        raise InvalidConfig("all grid values of k must exceed 1")
-    if any(not c > 0.0 for c in cs):
-        raise InvalidConfig("all grid values of c must be positive")
+    # The whole grid is checked before the first point runs, with the
+    # checks each point makes.
+    check_trials(trials)
+    for n in ns:
+        check_n(n)
+    for k in ks:
+        for c in cs:
+            _bounds.cor_eps(k, c)
     text = _experiment.sweep(
         ns, ks, cs, trials, seed, workers=workers,
         confidence=confidence, out=out,

@@ -1,8 +1,12 @@
-"""Exception hierarchy for betafreeze.
+"""Exception hierarchy for betafreeze, and the shared parameter checks.
 
 Every library-raised error derives from :class:`BetafreezeError` so callers
 (and the CLI) can distinguish configuration mistakes from numerical failures.
+The ``check_*`` functions are the one definition of each parameter's domain;
+a module that needs a stricter domain adds only that part on top.
 """
+
+import math
 
 
 class BetafreezeError(Exception):
@@ -11,6 +15,30 @@ class BetafreezeError(Exception):
 
 class InvalidConfig(BetafreezeError):
     """A parameter or configuration violates a documented precondition."""
+
+
+def check_n(n: int, name: str = "n") -> None:
+    """The ensemble size: n >= 2."""
+    if not n >= 2:
+        raise InvalidConfig(f"{name} must be >= 2, got {n}")
+
+
+def check_k(k: float) -> None:
+    """The interaction parameter (beta = 2k): k > 0 and finite."""
+    if not (k > 0.0 and math.isfinite(k)):
+        raise InvalidConfig(f"k must be positive and finite, got {k}")
+
+
+def check_trials(trials: int) -> None:
+    """A Monte Carlo trial count: trials >= 1."""
+    if not trials >= 1:
+        raise InvalidConfig(f"trials must be >= 1, got {trials}")
+
+
+def check_threshold(x: float, name: str = "eps") -> None:
+    """A tail threshold or its coefficient: positive and finite."""
+    if not (x > 0.0 and math.isfinite(x)):
+        raise InvalidConfig(f"{name} must be positive and finite, got {x}")
 
 
 class ConvergenceFailure(BetafreezeError):
@@ -41,4 +69,8 @@ __all__ = [
     "DegenerateInput",
     "FactorizationFailure",
     "ConditionViolated",
+    "check_n",
+    "check_k",
+    "check_trials",
+    "check_threshold",
 ]

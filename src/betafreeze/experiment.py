@@ -6,7 +6,9 @@ partition; worker w draws from its own counter-based stream keyed on
 is a pure function of (config, seed, workers) - bit-identical on repeat runs
 - while different worker counts give statistically equivalent results.
 Within a worker, sampling proceeds in fixed chunks of 65536 trials (the
-chunk size is part of the reproducibility envelope).
+chunk size is part of the reproducibility envelope); :func:`chunk_sizes` is
+the one place that splits trials into chunks, and :func:`_run_workers` the
+one place that hands each worker its stream and block of trials.
 
 Norm conventions: the scaled residual Y_s = X/sqrt(2k) - z is the primary
 per-trial quantity.  The l2 event is ||Y_s||_2 > eps directly; the sup-norm
@@ -21,14 +23,14 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from . import _core
 from . import bounds as _bounds
 from . import sampler as _sampler
-from .errors import InvalidConfig
+from .errors import InvalidConfig, check_k, check_n, check_threshold, check_trials
 from .hermite_core import compute_zeros
 from .rng import worker_streams
 from .spectral import build_precision
@@ -104,24 +106,17 @@ class ExperimentConfig:
     c: float | None = None
     workers: int = 1
     confidence: float = 0.99
-    out: str | None = None
-    fmt: str = "csv"
 
     def validate(self) -> None:
-        if self.n < 2:
-            raise InvalidConfig(f"n must be >= 2, got {self.n}")
-        if not (self.k > 0.0 and math.isfinite(self.k)):
-            raise InvalidConfig(f"k must be positive and finite, got {self.k}")
-        if self.trials < 1:
-            raise InvalidConfig(f"trials must be >= 1, got {self.trials}")
+        check_n(self.n)
+        check_k(self.k)
+        check_trials(self.trials)
         if self.workers < 1:
             raise InvalidConfig(f"workers must be >= 1, got {self.workers}")
         if not 0.0 < self.confidence < 1.0:
             raise InvalidConfig(
                 f"confidence must be in (0, 1), got {self.confidence}"
             )
-        if self.fmt not in ("csv", "json"):
-            raise InvalidConfig(f"format must be csv or json, got {self.fmt}")
 
     def resolve_eps(self) -> float:
         """The tail threshold.  eps = inf is the trivial event (no hits);
@@ -136,6 +131,16 @@ class ExperimentConfig:
         return _bounds.cor_eps(self.k, self.c)
 
 
+def _l2(ys: np.ndarray) -> np.ndarray:
+    """Per-row l2 norm."""
+    return np.sqrt(np.sum(ys * ys, axis=1))
+
+
+def _sup(ys: np.ndarray) -> np.ndarray:
+    """Per-row sup norm."""
+    return np.max(np.abs(ys), axis=1)
+
+
 def per_trial_norms(lam: np.ndarray, k: float, z: np.ndarray):
     """(l2_scaled, sup_scaled, sup_unscaled) for each row of ``lam``.
 
@@ -145,9 +150,15 @@ def per_trial_norms(lam: np.ndarray, k: float, z: np.ndarray):
     """
     sqrt2k = math.sqrt(2.0 * k)
     ys = lam / sqrt2k - z
-    l2_scaled = np.sqrt(np.sum(ys * ys, axis=1))
-    sup_scaled = np.max(np.abs(ys), axis=1)
-    return l2_scaled, sup_scaled, sqrt2k * sup_scaled
+    sup_scaled = _sup(ys)
+    return _l2(ys), sup_scaled, sqrt2k * sup_scaled
+
+
+def chunk_sizes(trials: int) -> Iterator[int]:
+    """Sizes of the batches that ``trials`` trials are drawn in, in order:
+    CHUNK each, then the remainder."""
+    check_trials(trials)
+    return (min(CHUNK, trials - start) for start in range(0, trials, CHUNK))
 
 
 def _partition(trials: int, workers: int) -> list[int]:
@@ -155,23 +166,46 @@ def _partition(trials: int, workers: int) -> list[int]:
     return [base + (1 if w < extra else 0) for w in range(workers)]
 
 
-def _run_workers(worker_fn: Callable[[int, int], object], counts: Sequence[int]):
-    """Run worker_fn(worker_index, worker_trials) for each worker.
+def _run_workers(
+    seed: int,
+    workers: int,
+    trials: int,
+    worker_fn: Callable[[np.random.Generator, int], object],
+    prefix: tuple[int, ...] = (),
+) -> list:
+    """worker_fn(rng, t) for each worker's stream and block of trials.
 
-    Results are returned in worker order regardless of scheduling; workers
-    with zero trials are skipped (their result is None).  The pool has at
-    most one thread per CPU; each logical worker keeps its own stream and
-    block of trials, so the results do not depend on the pool size.
+    Worker w gets worker_streams(seed, workers, prefix)[w] and the w-th
+    block of the static partition.  Results are returned in worker order
+    regardless of scheduling; workers with zero trials are skipped.  The
+    pool has at most one thread per CPU; each logical worker keeps its own
+    stream and block of trials, so the results do not depend on the pool
+    size.
     """
-    jobs = [(w, t) for w, t in enumerate(counts) if t > 0]
+    streams = worker_streams(seed, workers, prefix=prefix)
+    jobs = [
+        (streams[w], t)
+        for w, t in enumerate(_partition(trials, workers))
+        if t > 0
+    ]
     if len(jobs) <= 1:
-        results: dict[int, object] = {w: worker_fn(w, t) for w, t in jobs}
-    else:
-        threads = min(len(jobs), os.cpu_count() or 1)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {w: pool.submit(worker_fn, w, t) for w, t in jobs}
-            results = {w: f.result() for w, f in futures.items()}
-    return [results.get(w) for w in range(len(counts))]
+        return [worker_fn(rng, t) for rng, t in jobs]
+    threads = min(len(jobs), os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = [pool.submit(worker_fn, rng, t) for rng, t in jobs]
+        return [f.result() for f in futures]
+
+
+def _tail_estimate(hits: int, trials: int, confidence: float) -> TailEstimate:
+    lo, hi = clopper_pearson(hits, trials, confidence)
+    return TailEstimate(
+        trials=trials,
+        hits=hits,
+        p_hat=hits / trials,
+        ci_low=lo,
+        ci_high=hi,
+        confidence=confidence,
+    )
 
 
 def _estimate_tail(
@@ -181,35 +215,22 @@ def _estimate_tail(
     eps = cfg.resolve_eps()
     z = compute_zeros(cfg.n).zeros
     sqrt2k = math.sqrt(2.0 * cfg.k)
-    streams = worker_streams(cfg.seed, cfg.workers, prefix=seed_prefix)
+    if norm == "l2":
+        event_norm = _l2
+    else:
+        def event_norm(ys: np.ndarray) -> np.ndarray:
+            return sqrt2k * _sup(ys)
 
-    def run(worker: int, t: int) -> int:
-        rng = streams[worker]
+    def count_hits(rng: np.random.Generator, t: int) -> int:
         hits = 0
-        remaining = t
-        while remaining > 0:
-            m = min(CHUNK, remaining)
+        for m in chunk_sizes(t):
             lam = _sampler.sample_eigenvalue_batch(cfg.n, cfg.k, rng, m)
-            ys = lam / sqrt2k - z
-            if norm == "l2":
-                vals = np.sqrt(np.sum(ys * ys, axis=1))
-            else:
-                vals = sqrt2k * np.max(np.abs(ys), axis=1)
-            hits += int(np.count_nonzero(vals > eps))
-            remaining -= m
+            hits += int(np.count_nonzero(event_norm(lam / sqrt2k - z) > eps))
         return hits
 
-    per_worker = _run_workers(run, _partition(cfg.trials, cfg.workers))
-    hits = sum(h for h in per_worker if h is not None)
-    lo, hi = clopper_pearson(hits, cfg.trials, cfg.confidence)
-    return TailEstimate(
-        trials=cfg.trials,
-        hits=hits,
-        p_hat=hits / cfg.trials,
-        ci_low=lo,
-        ci_high=hi,
-        confidence=cfg.confidence,
-    )
+    hits = sum(_run_workers(cfg.seed, cfg.workers, cfg.trials, count_hits,
+                            seed_prefix))
+    return _tail_estimate(hits, cfg.trials, cfg.confidence)
 
 
 def estimate_tail_l2(
@@ -255,28 +276,24 @@ def clt_covariance_test(cfg: ExperimentConfig) -> CltReport:
     a = _sampler.first_order_map(n)
     var_e = _sampler.chi_variance(_sampler._offdiag_dof(n, cfg.k)) / 2.0
     cov_g = np.diag(np.concatenate([np.ones(n), var_e]))
-    streams = worker_streams(cfg.seed, cfg.workers)
 
-    def run(worker: int, t: int) -> tuple[RunningMoments, RunningMoments]:
-        rng = streams[worker]
+    def accumulate(
+        rng: np.random.Generator, t: int
+    ) -> tuple[RunningMoments, RunningMoments]:
         acc_y = RunningMoments(n)
         acc_g = RunningMoments(2 * n - 1)
-        remaining = t
-        while remaining > 0:
-            m = min(CHUNK, remaining)
+        for m in chunk_sizes(t):
             d, e = _sampler.sample_tridiagonal_batch(n, cfg.k, rng, m)
             acc_y.add_batch(_core.eigvals_batch(d, e) - sqrt2k * z)
             acc_g.add_batch(np.concatenate([d, e], axis=1))
-            remaining -= m
         return acc_y, acc_g
 
-    per_worker = _run_workers(run, _partition(cfg.trials, cfg.workers))
     total_y = RunningMoments(n)
     total_g = RunningMoments(2 * n - 1)
-    for accs in per_worker:
-        if accs is not None:
-            total_y.merge(accs[0])
-            total_g.merge(accs[1])
+    for acc_y, acc_g in _run_workers(cfg.seed, cfg.workers, cfg.trials,
+                                     accumulate):
+        total_y.merge(acc_y)
+        total_g.merge(acc_g)
     mean = total_y.mean.copy()
     cov_plain, cov_g_emp = (
         acc.covariance(ddof=1) if acc.count > 1 else acc.m2.copy()
@@ -305,30 +322,20 @@ def gaussian_reference_tail(
     Used to validate gaussian_tail_bound by dominance; E||Xt||_2^2 is the
     harmonic number H_N.
     """
-    if N < 2:
-        raise InvalidConfig(f"N must be >= 2, got {N}")
-    if not eps > 0.0:
-        raise InvalidConfig(f"eps must be positive, got {eps}")
-    if trials < 1:
-        raise InvalidConfig(f"trials must be >= 1, got {trials}")
+    check_n(N, "N")
+    check_threshold(eps)
+    check_trials(trials)
     scale = 1.0 / np.sqrt(np.arange(1, N + 1, dtype=float))
-    rng = worker_streams(seed, 1)[0]
-    hits = 0
-    remaining = trials
-    while remaining > 0:
-        m = min(CHUNK, remaining)
-        x = rng.standard_normal((m, N)) * scale
-        hits += int(np.count_nonzero(np.sqrt(np.sum(x * x, axis=1)) > eps))
-        remaining -= m
-    lo, hi = clopper_pearson(hits, trials, confidence)
-    return TailEstimate(
-        trials=trials,
-        hits=hits,
-        p_hat=hits / trials,
-        ci_low=lo,
-        ci_high=hi,
-        confidence=confidence,
-    )
+
+    def count_hits(rng: np.random.Generator, t: int) -> int:
+        hits = 0
+        for m in chunk_sizes(t):
+            x = rng.standard_normal((m, N)) * scale
+            hits += int(np.count_nonzero(_l2(x) > eps))
+        return hits
+
+    hits = sum(_run_workers(seed, 1, trials, count_hits))
+    return _tail_estimate(hits, trials, confidence)
 
 
 # ----------------------------------------------------------------------

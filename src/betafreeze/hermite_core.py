@@ -24,7 +24,13 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .errors import ConvergenceFailure, DegenerateInput, InvalidConfig
+from .errors import (
+    ConvergenceFailure,
+    DegenerateInput,
+    InvalidConfig,
+    check_k,
+    check_n,
+)
 
 _LN2 = math.log(2.0)
 _LN_2PI = math.log(2.0 * math.pi)
@@ -252,10 +258,8 @@ def log_norm_const(N: int, k: float) -> float:
 
     ln c = ln N! - (N/2) ln(2 pi) + sum_{j=1..N} [lnGamma(1+k) - lnGamma(1+jk)].
     """
-    if N < 2:
-        raise InvalidConfig(f"N must be >= 2, got {N}")
-    if not k > 0.0:
-        raise InvalidConfig(f"k must be positive, got {k}")
+    check_n(N, "N")
+    check_k(k)
     total = math.lgamma(N + 1) - 0.5 * N * _LN_2PI + N * math.lgamma(1.0 + k)
     total -= math.fsum(math.lgamma(1.0 + j * k) for j in range(1, N + 1))
     return total
@@ -367,9 +371,9 @@ def exponent_M(N: int, k: float) -> float:
     survives the freezing rescaling; the 1/26 lower bound is the constant
     used by the explicit tail estimate.
     """
-    if N < 2:
-        raise InvalidConfig(f"N must be >= 2, got {N}")
-    if not k >= 1.0:
+    check_n(N, "N")
+    check_k(k)
+    if k < 1.0:
         raise InvalidConfig(f"k must be >= 1, got {k}")
     mu_k = _mu_vec(np.asarray([k]))[0]
     mu_tail = _mu_vec(k * np.arange(2, N + 1, dtype=float))

@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import _core
-from .errors import InvalidConfig
+from .errors import InvalidConfig, check_k, check_n, check_trials
 from .hermite_core import compute_zeros
 
 _SQRT2 = math.sqrt(2.0)
@@ -36,44 +35,12 @@ _SQRT2 = math.sqrt(2.0)
 _CHI_VAR_SERIES_FROM = 20.0
 
 
-@dataclass(frozen=True)
-class TridiagonalMatrix:
-    """Symmetric tridiagonal matrix held as its diagonal and off-diagonal."""
-
-    n: int
-    diag: np.ndarray
-    offdiag: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.diag, dtype=float)
-        e = np.asarray(self.offdiag, dtype=float)
-        d.setflags(write=False)
-        e.setflags(write=False)
-        object.__setattr__(self, "diag", d)
-        object.__setattr__(self, "offdiag", e)
-        if d.shape != (self.n,) or e.shape != (self.n - 1,):
-            raise InvalidConfig("diag must have length n and offdiag length n-1")
-        if not np.all(e > 0.0):
-            raise InvalidConfig("off-diagonal entries must be strictly positive")
-
-
-@dataclass(frozen=True)
-class EnsembleSample:
-    """One ordered draw of the ensemble; ``values`` is strictly descending."""
-
-    n: int
-    k: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def beta(self) -> float:
-        """The ensemble exponent beta = 2k (read-only alternative name)."""
-        return 2.0 * self.k
+def _checked_dof(df) -> np.ndarray:
+    """``df`` as a float array, each entry positive and finite."""
+    df = np.asarray(df, dtype=float)
+    if not np.all((df > 0.0) & np.isfinite(df)):
+        raise InvalidConfig("degrees of freedom must be positive and finite")
+    return df
 
 
 def sample_chi(rng: np.random.Generator, df, size=None):
@@ -84,9 +51,7 @@ def sample_chi(rng: np.random.Generator, df, size=None):
     below 1 are handled by the boosting identity internally).  ``df`` may be
     an array, in which case it broadcasts against ``size``.
     """
-    df = np.asarray(df, dtype=float)
-    if np.any(df <= 0.0):
-        raise InvalidConfig("degrees of freedom must be positive")
+    df = _checked_dof(df)
     out = np.sqrt(rng.gamma(df / 2.0, 2.0, size=size))
     if size is None and out.ndim == 0:
         return float(out)
@@ -104,10 +69,7 @@ def chi_variance(df):
     first shifted up by whole steps with r(x) = r(x + 1) x / (x + 1/2).
     Relative accuracy is ~1e-14 for every df > 0.  ``df`` may be an array.
     """
-    df = np.asarray(df, dtype=float)
-    if not np.all((df > 0.0) & np.isfinite(df)):
-        raise InvalidConfig("degrees of freedom must be positive and finite")
-    x = df / 2.0
+    x = _checked_dof(df) / 2.0
     steps = np.maximum(np.ceil(_CHI_VAR_SERIES_FROM - x), 0.0)
     xs = x + steps
     u = 1.0 / (xs * xs)
@@ -127,32 +89,6 @@ def _offdiag_dof(n: int, k: float) -> np.ndarray:
     return 2.0 * k * np.arange(n - 1, 0, -1, dtype=float)
 
 
-def build_tridiagonal(n: int, k: float, rng: np.random.Generator) -> TridiagonalMatrix:
-    """One draw of the random tridiagonal matrix whose spectrum is X."""
-    if n < 2:
-        raise InvalidConfig(f"n must be >= 2, got {n}")
-    if not (k > 0.0 and math.isfinite(k)):
-        raise InvalidConfig(f"k must be positive and finite, got {k}")
-    diag = rng.standard_normal(n)
-    offdiag = sample_chi(rng, _offdiag_dof(n, k)) / _SQRT2
-    return TridiagonalMatrix(n=n, diag=diag, offdiag=offdiag)
-
-
-def eigen_tridiagonal(t: TridiagonalMatrix) -> np.ndarray:
-    """Eigenvalues of the tridiagonal matrix, descending, values only.
-
-    Solved by the batched eigensolver in betafreeze._core.  Raises
-    ConvergenceFailure if LAPACK fails to converge.
-    """
-    return _core.eigvals_batch(t.diag[None, :], t.offdiag[None, :])[0]
-
-
-def sample_ensemble(n: int, k: float, rng: np.random.Generator) -> EnsembleSample:
-    """One exact draw of the ordered ensemble."""
-    t = build_tridiagonal(n, k, rng)
-    return EnsembleSample(n=n, k=float(k), values=eigen_tridiagonal(t))
-
-
 def sample_tridiagonal_batch(
     n: int, k: float, rng: np.random.Generator, trials: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -163,15 +99,11 @@ def sample_tridiagonal_batch(
     then all off-diagonals; this stream layout (normals block, then gammas
     block) is a fixed part of the reproducibility contract.
     """
-    if n < 2:
-        raise InvalidConfig(f"n must be >= 2, got {n}")
-    if not (k > 0.0 and math.isfinite(k)):
-        raise InvalidConfig(f"k must be positive and finite, got {k}")
-    if trials < 1:
-        raise InvalidConfig(f"trials must be >= 1, got {trials}")
+    check_n(n)
+    check_k(k)
+    check_trials(trials)
     d = rng.standard_normal((trials, n))
-    dof = _offdiag_dof(n, k)
-    e = np.sqrt(rng.gamma(dof / 2.0, 2.0, size=(trials, n - 1))) / _SQRT2
+    e = sample_chi(rng, _offdiag_dof(n, k), size=(trials, n - 1)) / _SQRT2
     return d, e
 
 
@@ -209,8 +141,7 @@ def first_order_map(n: int) -> np.ndarray:
     its eigenvalues, so A (d, e) is the first-order eigenvalue estimate
     whatever the scale k.  Results are cached by n and read-only.
     """
-    if n < 2:
-        raise InvalidConfig(f"n must be >= 2, got {n}")
+    check_n(n)
     t0 = np.diag(np.sqrt(np.arange(n - 1, 0, -1, dtype=float)), 1)
     _, vecs = np.linalg.eigh(t0 + t0.T)
     v = vecs[:, ::-1]
@@ -281,31 +212,11 @@ def mh_oracle_chain(
     return np.ascontiguousarray(kept[:, ::-1])  # descending rows
 
 
-def mh_oracle_sample(
-    n: int,
-    k: float,
-    rng: np.random.Generator,
-    burn_in: int = 100_000,
-    thin: int = 100,
-) -> EnsembleSample:
-    """One approximate ordered draw from a single Metropolis chain."""
-    values = mh_oracle_chain(
-        n, k, rng, draws=1, burn_in=burn_in, thin=thin, chains=1
-    )[0]
-    return EnsembleSample(n=n, k=float(k), values=values)
-
-
 __all__ = [
-    "TridiagonalMatrix",
-    "EnsembleSample",
     "sample_chi",
     "chi_variance",
-    "build_tridiagonal",
-    "eigen_tridiagonal",
-    "sample_ensemble",
     "sample_tridiagonal_batch",
     "sample_eigenvalue_batch",
     "first_order_map",
     "mh_oracle_chain",
-    "mh_oracle_sample",
 ]

@@ -1,14 +1,17 @@
 """Explicit tail bounds: frozen high-precision oracles, algebraic
 consistency between the two bound routes, window logic, finiteness."""
 
+import contextlib
+import io
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import betafreeze as bf
+from betafreeze.cli import main
 from betafreeze.errors import ConditionViolated, InvalidConfig
 
 
@@ -255,3 +258,96 @@ def test_quartic_term_at_extreme_scales():
         assert bd.term_quartic == bd.total == math.inf
         assert bd.total_clamped == 1.0
     assert bf.cor_bound(2, 1e4, 1e200, enforce_condition=False) == math.inf
+
+
+@pytest.mark.parametrize("call", [
+    lambda: bf.cor_eps(math.inf, 1.0),
+    lambda: bf.cor_bound(2, math.inf, 1.0, enforce_condition=False),
+    lambda: bf.prop_bound(2, math.inf, 0.1),
+    lambda: bf.cor_condition(2, math.inf, 1.0),
+    lambda: bf.cor_condition(2, 1e4, math.inf),
+    lambda: bf.gaussian_tail_bound(2, math.inf),
+    lambda: bf.cor_bound(0, 1e4, 1.0, enforce_condition=False),
+], ids=["cor_eps", "cor_bound", "prop_bound", "cor_condition_k",
+        "cor_condition_c", "gaussian_tail_bound", "cor_bound_n"])
+def test_nonfinite_or_out_of_domain_rejected(call):
+    # These returned NaN, a finite total at k = inf, False, or raised
+    # ZeroDivisionError / ValueError instead of InvalidConfig.
+    with pytest.raises(InvalidConfig):
+        call()
+
+
+def test_extreme_scales_saturate_instead_of_raising():
+    # term_stirling = (N - 1) / (26 k) is ~3846 here, so e_factor and the
+    # Gaussian term overflow a float: they read inf (math.exp raised
+    # OverflowError), and so does the raw total.
+    bd = bf.prop_bound(100_000, 1.0, 1e-10)
+    assert bd.e_factor == bd.term_gaussian == bd.total == math.inf
+    assert bd.total_clamped == 1.0 and not bd.condition_ok
+    # 1 - 2 delta* rounded to 0 here: ZeroDivisionError.
+    assert bf.gaussian_tail_bound(10, 1e9) == 0.0
+    assert bf.gaussian_tail_bound(2, 1e200) == 0.0
+
+
+# ----------------------------------------------------------------------
+# the input boundary, as a property
+# ----------------------------------------------------------------------
+
+def log_uniform(lo: float, hi: float):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda x: 10.0 ** x)
+
+
+#: Log-uniform draws plus the values that sit outside every domain.
+REALS = st.one_of(
+    log_uniform(1e-150, 1e150),
+    st.sampled_from([0.0, -1.0, -math.inf, math.inf, math.nan]),
+)
+SIZES = st.one_of(
+    log_uniform(2.0, 1e6).map(round),
+    st.sampled_from([-3, 0, 1]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@example(N=100_000, k=1.0, eps=1e-10, c=1.0)
+@example(N=2, k=math.inf, eps=0.1, c=1.0)
+@example(N=10, k=1.0, eps=1e9, c=1.0)
+@given(N=SIZES, k=REALS, eps=REALS, c=REALS)
+def test_bounds_never_nan_and_raise_only_domain_errors(N, k, eps, c):
+    calls = (
+        lambda: bf.prop_bound(N, k, eps),
+        lambda: bf.cor_eps(k, c),
+        lambda: bf.cor_bound(N, k, c),
+        lambda: bf.cor_bound(N, k, c, enforce_condition=False),
+        lambda: bf.gaussian_tail_bound(N, eps),
+        lambda: bf.dette_imhof_bound(N, eps),
+    )
+    for call in calls:
+        try:
+            value = call()
+        except (InvalidConfig, ConditionViolated):
+            continue
+        if isinstance(value, bf.BoundBreakdown):
+            fields = (value.term_quartic, value.term_stirling, value.e_factor,
+                      value.term_gaussian, value.total, value.total_clamped,
+                      value.log_e_factor)
+            assert not any(math.isnan(v) for v in fields)
+            assert 0.0 <= value.total_clamped <= 1.0
+        else:
+            assert not math.isnan(value)
+
+
+@settings(max_examples=150, deadline=None)
+@example(n=100_000, k=1.0, threshold=1e-10, use_c=False, fmt="csv")
+@example(n=2, k=1e4, threshold=math.inf, use_c=True, fmt="json")
+@given(n=SIZES, k=REALS, threshold=REALS, use_c=st.booleans(),
+       fmt=st.sampled_from(["csv", "json"]))
+def test_bounds_cli_exits_only_0_or_2(n, k, threshold, use_c, fmt):
+    flag = "--c" if use_c else "--eps"
+    argv = ["bounds", f"--n={n}", f"--k={k!r}", f"{flag}={threshold!r}",
+            "--format", fmt]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), (argv, err.getvalue())
+    assert "nan" not in out.getvalue().lower()

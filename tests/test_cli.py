@@ -11,6 +11,7 @@ import pytest
 
 import betafreeze as bf
 from betafreeze.cli import main
+from betafreeze.experiment import CHUNK
 
 
 def run_cli(*args, env_extra=None):
@@ -198,6 +199,24 @@ def test_invalid_sweep_config_values(tmp_path):
     assert run_cli("sweep", "--config", str(bad)).returncode == 2
 
 
+@pytest.mark.parametrize("cfg", [
+    {"n": [2], "k": [1e3, math.inf], "c": [1.0], "trials": 5},
+    {"n": [2], "k": [1e3], "c": [1.0, math.inf], "trials": 5},
+    {"n": [2], "k": [1e3], "c": [1.0, math.nan], "trials": 5},
+    {"n": [2, math.inf], "k": [1e3], "c": [1.0], "trials": 5},
+    {"n": [2], "k": [1e3], "c": [1.0], "trials": "many"},
+])
+def test_sweep_grid_rejected_before_any_point_runs(cfg, tmp_path, capsys):
+    # A non-finite k or c used to fail at its own grid point, after the
+    # earlier rows were written; a non-number raised a bare traceback.
+    out = tmp_path / "sweep.csv"
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({**cfg, "out": str(out)}))
+    assert main(["sweep", "--config", str(path)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().out == ""
+
+
 def test_seed_env_garbage_rejected():
     r = run_cli("sample", "--n", "2", "--k", "1", "--trials", "1",
                 env_extra={"BETAFREEZE_SEED": "not-a-number"})
@@ -230,3 +249,58 @@ def test_boundary_values_never_print_nan(argv, capsys):
             header, row = out.strip().split("\n")
             total = float(dict(zip(header.split(","), row.split(",")))["total"])
         assert total > 0.0
+
+
+# ----------------------------------------------------------------------
+# sample streams one chunk at a time
+# ----------------------------------------------------------------------
+
+def test_sample_across_chunk_boundary_matches_batches(capsys):
+    # Two chunks, the second of 3 trials: the output is the chunk-by-chunk
+    # batch draws of the one stream, trial numbers running on.
+    trials = CHUNK + 3
+    assert main(["sample", "--n", "2", "--k", "3", "--trials", str(trials),
+                 "--seed", "5"]) == 0
+    out = capsys.readouterr().out
+    rng = bf.worker_streams(5, 1)[0]
+    lam = np.concatenate([bf.sample_eigenvalue_batch(2, 3.0, rng, m)
+                          for m in (CHUNK, 3)])
+    want = ["trial,i,lambda_i"] + [
+        f"{t},{i},{bf.experiment.format_float(float(v))}"
+        for t, row in enumerate(lam) for i, v in enumerate(row, start=1)
+    ]
+    same = out == "\n".join(want) + "\n"  # no diff of ~131k lines on failure
+    assert same
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--n", "1", "--k", "3", "--trials", "5"],
+    ["sample", "--n", "2", "--k", "3", "--trials", "0"],
+    ["sample", "--n", "2", "--k", "-1", "--trials", "5"],
+])
+def test_sample_rejects_before_any_output(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+def _sample_peak_rss_mb(trials: int) -> float:
+    code = (
+        "import os, resource, sys\n"
+        "sys.stdout = open(os.devnull, 'w')\n"
+        "from betafreeze.cli import main\n"
+        f"rc = main(['sample', '--n', '2', '--k', '100', '--trials', '{trials}',"
+        " '--seed', '1'])\n"
+        "sys.stderr.write(str(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss))"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, check=True)
+    return int(r.stderr) / 1024.0  # ru_maxrss is in kB on Linux
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss units")
+def test_sample_peak_rss_does_not_grow_with_trials():
+    # Holding every line grew peak RSS by ~40 MB from one chunk to three
+    # at n = 2; streaming keeps one chunk's lines at a time.
+    one = _sample_peak_rss_mb(CHUNK)
+    three = _sample_peak_rss_mb(3 * CHUNK)
+    assert three - one < 10.0, (one, three)

@@ -29,8 +29,6 @@ def test_config_validation():
         bf.ExperimentConfig(n=3, k=10.0, trials=100, seed=1, eps=0.5, workers=0),
         bf.ExperimentConfig(n=3, k=10.0, trials=100, seed=1, eps=0.5,
                             confidence=1.0),
-        bf.ExperimentConfig(n=3, k=10.0, trials=100, seed=1, eps=0.5,
-                            fmt="xml"),
     ):
         with pytest.raises(InvalidConfig):
             bad.validate()

@@ -303,6 +303,15 @@ def test_exponent_m_validation():
         bf.exponent_M(1, 2.0)
     with pytest.raises(InvalidConfig):
         bf.exponent_M(3, 0.5)
+    with pytest.raises(InvalidConfig):
+        bf.exponent_M(3, math.inf)
+
+
+def test_log_norm_const_rejects_nonfinite_k():
+    # log_norm_const(2, inf) returned NaN.
+    for k in (math.inf, math.nan, 0.0):
+        with pytest.raises(InvalidConfig):
+            bf.log_norm_const(2, k)
 
 
 @settings(max_examples=50, deadline=None)

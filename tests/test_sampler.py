@@ -41,45 +41,43 @@ def test_chi_scalar_and_shapes(rng):
         bf.sample_chi(rng, -1.0)
 
 
+@pytest.mark.parametrize("df", [math.nan, math.inf, [4.0, math.inf]])
+def test_chi_rejects_nonfinite_dof(rng, df):
+    # Like chi_variance, sample_chi rejects NaN and infinite degrees of
+    # freedom instead of returning NaN or inf draws.
+    with pytest.raises(InvalidConfig):
+        bf.sample_chi(rng, df)
+
+
 # ----------------------------------------------------------------------
 # tridiagonal model structure
 # ----------------------------------------------------------------------
 
-def test_build_tridiagonal_structure(rng):
-    t = bf.build_tridiagonal(6, 2.5, rng)
-    assert t.n == 6
-    assert t.diag.shape == (6,) and t.offdiag.shape == (5,)
-    assert np.all(t.offdiag > 0.0)
-    with pytest.raises(ValueError):
-        t.diag[0] = 0.0  # read-only
-
-
 def test_offdiagonal_distribution(rng):
-    # First off-diagonal entry at (n, k) = (3, 2) is chi with 2k(n-1) = 8
+    # First off-diagonal column at (n, k) = (3, 2) is chi with 2k(n-1) = 8
     # degrees of freedom, scaled by 1/sqrt(2).
-    draws = np.array(
-        [bf.build_tridiagonal(3, 2.0, rng).offdiag[0] for _ in range(30_000)]
-    )
+    _, e = bf.sample_tridiagonal_batch(3, 2.0, rng, 30_000)
+    assert np.all(e > 0.0)
     ref = scipy.stats.chi(8, scale=1.0 / math.sqrt(2.0))
-    assert scipy.stats.kstest(draws, ref.cdf).pvalue > 1e-3
+    assert scipy.stats.kstest(e[:, 0], ref.cdf).pvalue > 1e-3
 
 
 def test_diagonal_distribution(rng):
-    draws = np.array(
-        [bf.build_tridiagonal(2, 1.0, rng).diag[0] for _ in range(30_000)]
-    )
-    assert scipy.stats.kstest(draws, scipy.stats.norm.cdf).pvalue > 1e-3
+    d, _ = bf.sample_tridiagonal_batch(2, 1.0, rng, 30_000)
+    assert scipy.stats.kstest(d[:, 0], scipy.stats.norm.cdf).pvalue > 1e-3
 
 
 def test_tridiagonal_validation():
-    with pytest.raises(InvalidConfig):
-        bf.TridiagonalMatrix(2, np.zeros(2), np.array([0.0]))  # zero offdiag
-    with pytest.raises(InvalidConfig):
-        bf.TridiagonalMatrix(3, np.zeros(2), np.ones(2))  # wrong diag length
-    with pytest.raises(InvalidConfig):
-        bf.build_tridiagonal(1, 1.0, np.random.default_rng(0))
-    with pytest.raises(InvalidConfig):
-        bf.build_tridiagonal(3, 0.0, np.random.default_rng(0))
+    for n, k, trials in [
+        (1, 1.0, 10),
+        (3, 0.0, 10),
+        (3, -1.0, 10),
+        (3, math.inf, 10),
+        (3, math.nan, 10),
+        (3, 1.0, 0),
+    ]:
+        with pytest.raises(InvalidConfig):
+            bf.sample_tridiagonal_batch(n, k, np.random.default_rng(0), trials)
 
 
 # ----------------------------------------------------------------------
@@ -90,18 +88,12 @@ def test_eigen_matches_dense_oracle(rng):
     for _ in range(100):
         n = int(rng.integers(2, 13))
         k = float(rng.uniform(0.2, 8.0))
-        t = bf.build_tridiagonal(n, k, rng)
-        dense = np.diag(t.diag) + np.diag(t.offdiag, 1) + np.diag(t.offdiag, -1)
+        d, e = bf.sample_tridiagonal_batch(n, k, rng, 1)
+        dense = np.diag(d[0]) + np.diag(e[0], 1) + np.diag(e[0], -1)
         want = np.linalg.eigvalsh(dense)[::-1]
-        got = bf.eigen_tridiagonal(t)
+        got = eigvals_batch(d, e)[0]
         scale = max(1.0, float(np.max(np.abs(want))))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * scale)
-
-
-def test_sample_ensemble_round_trip(rng):
-    s = bf.sample_ensemble(5, 3.0, rng)
-    assert s.n == 5 and s.k == 3.0 and s.beta == 6.0
-    assert np.all(np.diff(s.values) < 0)  # strictly descending a.s.
 
 
 def test_batch_descending_and_deterministic():
@@ -239,12 +231,6 @@ def test_mh_oracle_smoke():
     diff = (kept[:, 0] - kept[:, 1]) / math.sqrt(2.0)
     want_mean = float(scipy.stats.chi(2.0 * k + 1.0).mean())
     assert np.mean(diff) == pytest.approx(want_mean, rel=0.05)
-
-
-def test_mh_oracle_single_draw():
-    s = bf.mh_oracle_sample(2, 1.0, bf.master_stream(4), burn_in=2000, thin=10)
-    assert isinstance(s, bf.EnsembleSample)
-    assert s.values.shape == (2,) and s.values[0] >= s.values[1]
 
 
 def test_mh_oracle_validation():
