@@ -67,9 +67,15 @@ _NEWTON_TOL = 1e-13
 #: Measured over n = 2..64: up to 8 at k = 30, at most 4 at k >= 1e3.
 _NEWTON_MAX_STEPS = 8
 
-#: Shifts * matrices per Newton block: keeps the (n, block) work arrays
-#: within the CPU cache.
-_BLOCK_ELEMENTS = 16384
+#: Shifts * matrices per Newton block, the elements each NumPy call of the
+#: block works on between taking and releasing the GIL.  Sized for two
+#: worker threads: with 16384 (~10 us per call) they spent much of their
+#: time waiting on each other.  Measured with two concurrent solves on 2
+#: cores (k = 1e4, ms per pair, 16384 / 32768 / 65536): n = 32, 4096 rows,
+#: 166 / 123 / 125; n = 8, 16384 rows, 42 / 34 / 33; n = 2, 65536 rows,
+#: 19 / 18 / 21.  The result does not depend on it (columns are
+#: independent).
+_BLOCK_ELEMENTS = 32768
 
 _EPS = np.finfo(float).eps
 
@@ -92,7 +98,9 @@ def eigvals_batch(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     if not frozen.any():
         return _dense(d, e)
     out = np.empty((batch, n))
-    dense = np.flatnonzero(~_frozen_rows(d, e, np.flatnonzero(frozen), out))
+    # A range costs no memory where every row passed the gate.
+    rows = range(batch) if frozen.all() else np.flatnonzero(frozen)
+    dense = np.flatnonzero(~_frozen_rows(d, e, rows, out))
     if dense.size:
         out[dense] = _dense(d.take(dense, axis=0), e.take(dense, axis=0))
     return out
@@ -135,7 +143,7 @@ def _frozen_gate(e: np.ndarray) -> np.ndarray:
 
 
 def _frozen_rows(
-    d: np.ndarray, e: np.ndarray, rows: np.ndarray, out: np.ndarray
+    d: np.ndarray, e: np.ndarray, rows: np.ndarray | range, out: np.ndarray
 ) -> np.ndarray:
     """Solve the given rows (ascending indices) by certified Newton.
 
@@ -150,9 +158,9 @@ def _frozen_rows(
     accepted = np.zeros(d.shape[0], dtype=bool)
     block = max(256, _BLOCK_ELEMENTS // n)
     with np.errstate(all="ignore"):
-        for start in range(0, rows.size, block):
+        for start in range(0, len(rows), block):
             r = rows[start : start + block]
-            m = r.size
+            m = len(r)
             if r[-1] - r[0] == m - 1:
                 # A run of consecutive rows (the whole block when every row
                 # passed the gate): numpy copies a slice several times
@@ -174,12 +182,13 @@ def _certified_newton(g, a):
     down each column.
     """
     n, m = a.shape[0], g.shape[1]
-    dt, e2 = g[:n], g[n:] * g[n:]
     x = a[:, :1] * g[0]
     tmp = np.empty_like(x)
     for i in range(1, 2 * n - 1):
         np.multiply(a[:, i : i + 1], g[i], out=tmp)
         x += tmp
+    dt, e2 = g[:n], g[n:]
+    e2 *= e2  # g's off-diagonal is not read again
 
     # The radius bounds each root's error: (n+1)|step| from f'/f, plus the
     # rounding of x - step.  A column stops once radius <= tol max|x|, after
@@ -188,16 +197,21 @@ def _certified_newton(g, a):
     # that never stops keeps radius = inf, which fails the disc check.
     radius = np.full(m, np.inf)
     live = np.ones(m, dtype=bool)
+    p, step = np.empty_like(x), np.empty_like(x)
     for _ in range(_NEWTON_MAX_STEPS):
-        step = 1.0 / _log_derivative(x, dt, e2)
+        _log_derivative(x, dt, e2, tmp, p, step)
+        np.divide(1.0, step, out=step)
         np.subtract(x, step, out=x, where=live)
         size = np.maximum(x[0], -x[-1])
-        r = (n + 1) * np.max(np.abs(step), axis=0) + _EPS * size
+        r = np.max(np.abs(step, out=tmp), axis=0)
+        r *= n + 1
+        r += _EPS * size
         conv = live & (r <= _NEWTON_TOL * size)
         radius[conv] = r[conv]
         live &= ~conv
         if not live.any():
             break
+    del tmp, p, step  # freed for the arrays of the bracket check
     return x, _brackets_hold(x, radius, dt, e2)
 
 
@@ -209,11 +223,12 @@ def _brackets_hold(x, radius, dt, e2):
     non-finite, and every root's disc lies inside its bracket.
     """
     n = x.shape[0]
-    gaps = x[:-1] - x[1:]
-    ok = 2.0 * radius < np.min(gaps, axis=0)
-    mid = x[1:] + 0.5 * gaps
+    mid = x[:-1] - x[1:]  # the gaps, until halved below
+    ok = 2.0 * radius < np.min(mid, axis=0)
+    mid *= 0.5
+    mid += x[1:]
     q = dt[0] - mid
-    neg = (q < 0).astype(np.intp)
+    neg = (q < 0).astype(np.int16)  # counts up to n - 1 <= 255
     # Sum of e^2/q and, last, of 1/q: finite only if no pivot is 0 or NaN.
     pivots = np.zeros_like(mid)
     t = np.empty_like(mid)
@@ -231,19 +246,20 @@ def _brackets_hold(x, radius, dt, e2):
     return ok & np.all(neg == np.arange(n - 1, 0, -1)[:, None], axis=0)
 
 
-def _log_derivative(x, dt, e2):
-    """f'(x)/f(x) for f = det(T - xI), at every entry of x (n, m).
+def _log_derivative(x, dt, e2, w, p, acc):
+    """f'(x)/f(x) for f = det(T - xI), at every entry of x (n, m), into acc.
 
     Runs the pivot recurrence q_i = d_i - x - e_{i-1}^2 / q_{i-1} and sums
     p_i = q_i'/q_i, where q_i' = e_{i-1}^2 / q_{i-1} p_{i-1} - 1; every
-    update is in place.  A zero pivot before the last makes the sum NaN,
-    which no convergence test passes; a zero last pivot means f(x) = 0, so
-    x is a root and the Newton step 1/sum is 0.
+    update is in place, in the work arrays w and p (shaped like x).  A zero
+    pivot before the last makes the sum NaN, which no convergence test
+    passes; a zero last pivot means f(x) = 0, so x is a root and the Newton
+    step 1/sum is 0.
     """
-    w = x - dt[0]  # -q_0
+    np.subtract(x, dt[0], out=w)  # -q_0
     np.divide(-1.0, w, out=w)  # 1/q_0
-    p = -w  # q_0' / q_0, with q_0' = -1
-    acc = p.copy()
+    np.negative(w, out=p)  # q_0' / q_0, with q_0' = -1
+    np.copyto(acc, p)
     for i in range(1, dt.shape[0]):
         w *= e2[i - 1]  # t = e_{i-1}^2 / q_{i-1}
         p *= w
@@ -253,4 +269,3 @@ def _log_derivative(x, dt, e2):
         np.divide(-1.0, w, out=w)  # 1/q_i
         p *= w
         acc += p
-    return acc

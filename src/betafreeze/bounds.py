@@ -97,8 +97,12 @@ def prop_condition(N: int, k: float, eps: float) -> bool:
 def _term_quartic(N: int, k: float, eps: float) -> float:
     # (k eps^2) eps^2 neither underflows nor overflows where eps**4 alone
     # would (k = 1e200, eps = 1e-90 gives ~8.5e-159, not 0); float products
-    # reach inf rather than raising OverflowError.
-    return (32.0 / 3.0) * (k * eps * eps) * (eps * eps) * N**3
+    # reach inf rather than raising OverflowError.  N^3 is a float product
+    # for the same reason: the int N**3 fails to convert to float above
+    # N ~ 5.6e102, and float ** raises on overflow.  For N < 2^17 the
+    # product is exact.
+    nf = float(N)
+    return (32.0 / 3.0) * (k * eps * eps) * (eps * eps) * (nf * nf * nf)
 
 
 def prop_bound(N: int, k: float, eps: float) -> BoundBreakdown:

@@ -19,6 +19,7 @@ sup_u == sqrt(2k) * sup_s hold exactly, bit for bit, by construction.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -111,12 +112,7 @@ class ExperimentConfig:
         check_n(self.n)
         check_k(self.k)
         check_trials(self.trials)
-        if self.workers < 1:
-            raise InvalidConfig(f"workers must be >= 1, got {self.workers}")
-        if not 0.0 < self.confidence < 1.0:
-            raise InvalidConfig(
-                f"confidence must be in (0, 1), got {self.confidence}"
-            )
+        _check_run(self.workers, self.confidence)
 
     def resolve_eps(self) -> float:
         """The tail threshold.  eps = inf is the trivial event (no hits);
@@ -129,6 +125,15 @@ class ExperimentConfig:
                 raise InvalidConfig(f"eps must be positive, got {self.eps}")
             return float(self.eps)
         return _bounds.cor_eps(self.k, self.c)
+
+
+def _check_run(workers: int, confidence: float) -> None:
+    """The settings shared by a run's experiments: workers >= 1 and
+    confidence in (0, 1)."""
+    if workers < 1:
+        raise InvalidConfig(f"workers must be >= 1, got {workers}")
+    if not 0.0 < confidence < 1.0:
+        raise InvalidConfig(f"confidence must be in (0, 1), got {confidence}")
 
 
 def _l2(ys: np.ndarray) -> np.ndarray:
@@ -224,8 +229,10 @@ def _estimate_tail(
     def count_hits(rng: np.random.Generator, t: int) -> int:
         hits = 0
         for m in chunk_sizes(t):
-            lam = _sampler.sample_eigenvalue_batch(cfg.n, cfg.k, rng, m)
-            hits += int(np.count_nonzero(event_norm(lam / sqrt2k - z) > eps))
+            ys = _sampler.sample_eigenvalue_batch(cfg.n, cfg.k, rng, m)
+            ys /= sqrt2k
+            ys -= z
+            hits += int(np.count_nonzero(event_norm(ys) > eps))
         return hits
 
     hits = sum(_run_workers(cfg.seed, cfg.workers, cfg.trials, count_hits,
@@ -247,6 +254,20 @@ def estimate_tail_sup(
     return _estimate_tail(cfg, "sup", seed_prefix)
 
 
+@functools.lru_cache(maxsize=32)
+def _limit_covariance(n: int) -> np.ndarray:
+    """The limit covariance S^-1 at size n, cached by n and read-only.
+
+    Cached so that a covariance test makes no LAPACK or BLAS call before
+    its workers start: OpenBLAS's helper thread spins for about 100 ms after
+    such a call and takes one of the cores the workers run on.
+    """
+    pair = build_precision(compute_zeros(n).zeros)
+    sigma = pair.chol_cov @ pair.chol_cov.T
+    sigma.setflags(write=False)
+    return sigma
+
+
 def clt_covariance_test(cfg: ExperimentConfig) -> CltReport:
     """Empirical mean and covariance of Y = X - sqrt(2k) z vs the limit law.
 
@@ -265,13 +286,13 @@ def clt_covariance_test(cfg: ExperimentConfig) -> CltReport:
     accumulated with the numerically stable one-pass mean/comoment scheme,
     chunked and merged in worker order (deterministic); A is applied once,
     to the merged moments.  The draws are the ones the tail experiments
-    use.  The reference covariance is S^-1 from the spectral module.
+    use.  The reference covariance is S^-1 from the spectral module,
+    computed once per n.
     """
     cfg.validate()
     n = cfg.n
     z = compute_zeros(n).zeros
-    pair = build_precision(z)
-    sigma = pair.chol_cov @ pair.chol_cov.T
+    sigma = _limit_covariance(n)
     sqrt2k = math.sqrt(2.0 * cfg.k)
     a = _sampler.first_order_map(n)
     var_e = _sampler.chi_variance(_sampler._offdiag_dof(n, cfg.k)) / 2.0
@@ -384,10 +405,14 @@ def sweep(
     scaled-l2 tail with its exact interval, the explicit bound's breakdown,
     the log-threshold bound (raw formula, validity flagged separately), the
     sup-norm baseline at the converted threshold sqrt(2k) eps, and the
-    sharper-bound indicator.  If ``out`` is given, rows are written and
-    flushed incrementally so a per-point failure leaves all completed rows
-    on disk (the exception is then re-raised).
+    sharper-bound indicator.  The settings shared by every point (trials,
+    workers, confidence) are checked before ``out`` is opened.  If ``out``
+    is given, rows are written and flushed incrementally so a per-point
+    failure leaves all completed rows on disk (the exception is then
+    re-raised).
     """
+    check_trials(trials)
+    _check_run(workers, confidence)
     lines = _sweep_header(trials, seed, workers, confidence)
     handle = open(out, "w") if out is not None else None
     try:

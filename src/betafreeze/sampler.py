@@ -52,10 +52,10 @@ def sample_chi(rng: np.random.Generator, df, size=None):
     an array, in which case it broadcasts against ``size``.
     """
     df = _checked_dof(df)
-    out = np.sqrt(rng.gamma(df / 2.0, 2.0, size=size))
-    if size is None and out.ndim == 0:
-        return float(out)
-    return out
+    out = rng.gamma(df / 2.0, 2.0, size=size)
+    if size is None and np.ndim(out) == 0:
+        return math.sqrt(out)
+    return np.sqrt(out, out=out)
 
 
 def chi_variance(df):
@@ -103,7 +103,8 @@ def sample_tridiagonal_batch(
     check_k(k)
     check_trials(trials)
     d = rng.standard_normal((trials, n))
-    e = sample_chi(rng, _offdiag_dof(n, k), size=(trials, n - 1)) / _SQRT2
+    e = sample_chi(rng, _offdiag_dof(n, k), size=(trials, n - 1))
+    e /= _SQRT2
     return d, e
 
 

@@ -289,6 +289,21 @@ def test_extreme_scales_saturate_instead_of_raising():
     assert bf.gaussian_tail_bound(2, 1e200) == 0.0
 
 
+def test_huge_n_saturates_instead_of_raising():
+    # The int N**3 does not convert to a float here (OverflowError); the
+    # quartic term, and with it the total, read inf instead.
+    bd = bf.prop_bound(10**120, 1.0, 1.0)
+    assert bd.term_quartic == bd.total == math.inf
+    assert bd.total_clamped == 1.0 and not bd.condition_ok
+    assert bf.cor_bound_terms(10**120, 10.0, 1.0)[0] == math.inf
+    # Below 2**17, N^3 is exact as a float product, so the term is the one
+    # formed with the int N**3, bit for bit.
+    k, eps = 1e4, 0.01
+    for N in (2, 3, 77, 1000, 2**17 - 1):
+        want = (32.0 / 3.0) * (k * eps * eps) * (eps * eps) * N**3
+        assert bf.prop_bound(N, k, eps).term_quartic == want
+
+
 # ----------------------------------------------------------------------
 # the input boundary, as a property
 # ----------------------------------------------------------------------

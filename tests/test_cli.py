@@ -205,10 +205,13 @@ def test_invalid_sweep_config_values(tmp_path):
     {"n": [2], "k": [1e3], "c": [1.0, math.nan], "trials": 5},
     {"n": [2, math.inf], "k": [1e3], "c": [1.0], "trials": 5},
     {"n": [2], "k": [1e3], "c": [1.0], "trials": "many"},
+    {"n": [2], "k": [1e3], "c": [1.0], "trials": 5, "workers": 0},
+    {"n": [2], "k": [1e3], "c": [1.0], "trials": 5, "confidence": 1.0},
 ])
 def test_sweep_grid_rejected_before_any_point_runs(cfg, tmp_path, capsys):
     # A non-finite k or c used to fail at its own grid point, after the
-    # earlier rows were written; a non-number raised a bare traceback.
+    # earlier rows were written; a non-number raised a bare traceback; bad
+    # workers or confidence left a file holding only the header.
     out = tmp_path / "sweep.csv"
     path = tmp_path / "grid.json"
     path.write_text(json.dumps({**cfg, "out": str(out)}))

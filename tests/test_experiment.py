@@ -1,6 +1,7 @@
 """Monte Carlo experiment layer: norm conventions, worker orchestration,
 reproducibility, sweep schema and failure semantics."""
 
+import dataclasses
 import math
 import os
 from concurrent.futures import Future
@@ -221,6 +222,36 @@ def test_clt_deterministic_and_worker_merge():
     assert abs(a.cov_rel_err - c.cov_rel_err) < 0.02
 
 
+def test_clt_limit_covariance_is_cached(monkeypatch, precision_cache):
+    # The limit covariance is built once per n: a second call at the same n
+    # calls build_precision no more, and returns the same results bit for
+    # bit as a call that computes it afresh.
+    n = 4
+    calls = []
+    build_precision = experiment.build_precision
+
+    def counting(z):
+        calls.append(len(z))
+        return build_precision(z)
+
+    monkeypatch.setattr(experiment, "build_precision", counting)
+    experiment._limit_covariance.cache_clear()
+    cfg = bf.ExperimentConfig(n=n, k=1e3, trials=5000, seed=3, workers=2)
+    fresh = bf.clt_covariance_test(cfg)
+    assert calls == [n]
+    cached = bf.clt_covariance_test(cfg)
+    assert calls == [n]
+    sigma = experiment._limit_covariance(n)
+    assert not sigma.flags.writeable
+    pair = precision_cache(n)
+    np.testing.assert_array_equal(sigma, pair.chol_cov @ pair.chol_cov.T)
+    for f in dataclasses.fields(bf.CltReport):
+        np.testing.assert_array_equal(
+            getattr(cached, f.name), getattr(fresh, f.name)
+        )
+    experiment._limit_covariance.cache_clear()
+
+
 def test_clt_plain_diagnostic_is_the_empirical_covariance(
     zeros_cache, precision_cache
 ):
@@ -357,6 +388,17 @@ def test_sweep_partial_flush_on_failure(tmp_path):
     assert lines[2] == SWEEP_COLUMNS
     assert len(lines) == 4  # header + the one completed row
     assert lines[3].split(",")[0] == "2"
+
+
+@pytest.mark.parametrize("settings", [
+    {"trials": 0}, {"workers": 0}, {"confidence": 0.0}, {"confidence": 1.0},
+])
+def test_sweep_settings_checked_before_out_is_opened(settings, tmp_path):
+    out = tmp_path / "sweep.csv"
+    kwargs = {"trials": 500, "seed": 4, "out": str(out), **settings}
+    with pytest.raises(InvalidConfig):
+        bf.sweep([2], [100.0], [1.0], **kwargs)
+    assert not out.exists()
 
 
 def test_sweep_writes_file_and_returns_same_text(tmp_path):

@@ -148,6 +148,21 @@ def test_frozen_regime_never_falls_back(n):
         np.testing.assert_array_equal(out, eigvals_batch(d, e))
 
 
+@pytest.mark.parametrize("n", (2, 8, 32))
+def test_results_do_not_depend_on_block_size(n, monkeypatch):
+    # Each column's arithmetic is elementwise, so how the rows are split
+    # into Newton blocks changes nothing.  The batch spans several blocks
+    # at every size, and one gated-out row splits a block's run of rows.
+    d, e = _ensemble_rows(n, 1e4, 65536 // n + 17)
+    e[5] *= 1e-3
+    results = []
+    for block in (16384, 32768, 1024):
+        monkeypatch.setattr(_core, "_BLOCK_ELEMENTS", block)
+        results.append(eigvals_batch(d, e))
+    for got in results[1:]:
+        np.testing.assert_array_equal(got, results[0])
+
+
 @pytest.mark.parametrize("k", (2.0, 5.0))
 def test_small_k_stays_on_dense_path(k, monkeypatch):
     # Below the gate no row reaches the Newton path, so the call is the
