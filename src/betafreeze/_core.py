@@ -10,6 +10,10 @@ Two paths, chosen per row from the row itself:
   x0 = sqrt(2) s z + A (d, e - s sqrt(n-i)), A =
   :func:`betafreeze.sampler.first_order_map`.  Since A (0, sqrt(n-i)) =
   sqrt(2) z, this is A (d, e), which is within O(1/s) of every root.
+  Only the top ceil(n/2) rows of A are applied: the rows for z_j and
+  -z_j = z_{n+1-j} have equal halves on d and opposite halves on e, so
+  with P_j and Q_j those two halves applied, x_j = P_j + Q_j and
+  x_{n+1-j} = P_j - Q_j (equal to the full product to ~2e-15 relative).
   Newton steps on f(x) = det(T - xI), through the pivot recurrence
   q_i = d_i - x - e_{i-1}^2 / q_{i-1} with f'/f = sum q_i'/q_i, refine all
   n roots at once in O(n^2) work per matrix.
@@ -21,16 +25,31 @@ The gate reads e alone, before any copy; a batch in which no row passes it
 goes to the dense path whole.
 
 A Newton row is returned only with a certificate; otherwise it goes to the
-dense path.  With s_j = f/f' at the last Newton point, f'/f = sum_i
-1/(x - lambda_i) puts an eigenvalue within n|s_j| of that point, hence
-within r = (n+1) max_j |s_j| + eps max|x| of the updated root x_j (the last
-term covers rounding x_j).  The row is accepted when every value is finite
-(a zero pivot before the last makes f'/f NaN), r <= ``_NEWTON_TOL``
-max|x|, the Sturm counts at the n-1 midpoints between neighbouring roots
-show exactly one eigenvalue in each bracket with no zero pivot, and every
-disc of radius r lies inside its bracket, so that the eigenvalue near x_j
-is the j-th.  Up to rounding in the recurrences, accepted roots are then
-within ``_NEWTON_TOL`` max|x| of the eigenvalues.
+dense path.  Let y be the roots before the last step, s = f/f' at y, the
+result x = y - s, S = max|s| and D half the smallest gap x_j - x_{j+1}.
+The row is accepted when the Sturm counts at the n-1 midpoints of x show
+exactly one eigenvalue in each bracket with no zero pivot (a zero or NaN
+pivot fails), the radius
+
+    r = (n-1) S^2 / (D - n S) + eps max|x|,   with D > n S,
+
+is at most ``_NEWTON_TOL`` max|x|, and every disc of radius r lies inside
+its bracket.  Why r bounds |x_j - lambda_j|: the counts put every other
+eigenvalue outside x_j's bracket, at least D from x_j and D - S from y_j.
+So f'/f(y_j) = 1/(y_j - lambda_j) + R with |R| <= (n-1)/(D - S), and
+solving 1/s_j = 1/(y_j - lambda_j) + R gives x_j - lambda_j =
+R s_j^2 / (1 - R s_j), at most (n-1) S^2 / (D - n S); eps max|x| covers
+rounding x_j.  Up to rounding in the recurrences, accepted roots are then
+within ``_NEWTON_TOL`` max|x| of the eigenvalues.  The step that finds a
+root thus also certifies it, where a radius of n S from f'/f alone needed
+one more step.
+
+Each column stops stepping once S <= sqrt(tol max|x0| D0 / (n-1)) / 2,
+with tol = ``_NEWTON_TOL`` and x0, D0 from the start, so that r is about
+tol max|x| / 4 if the gaps hold; r is computed afresh at the end, so a
+wrong guess only sends the row to the dense path.  Once at most half of a
+block's working columns still step, they are gathered, and later steps
+run on them alone.
 
 Each row's result depends on that row alone: the Newton path uses only
 elementwise array operations (no BLAS, whose summation order may depend on
@@ -50,21 +69,23 @@ BACKEND = "frozen-newton+dense-eigvalsh"
 _DENSE_BUDGET = 4_000_000
 
 #: Rows whose scale estimate s^2 (about k) is below this go to dense.  From
-#: measurement: at k = 30 every row of n = 2..256 was certified and Newton
-#: cost no more than dense; below it rows of larger n start to fail the
-#: certificate (3 % at k = 10, n = 32; 77 % at n = 256) and pay both paths.
+#: measurement: at k = 30 the rows of n = 2..256 were certified (all but 4
+#: of 1351 gated rows at n = 256) and Newton cost no more than dense; below
+#: it rows of larger n start to fail the certificate (3 % at k = 10,
+#: n = 32; 77 % at n = 256) and pay both paths.
 _FROZEN_MIN_K = 30.0
 
-#: Largest n solved by Newton.  Measured up to n = 300, every row with
-#: k >= 30 was certified; the cap bounds the cached (n, 2n-1) first-order
-#: map to 1 MB and keeps the certificate's (n+1) factor far from rounding.
+#: Largest n solved by Newton.  Measured up to n = 300, nearly every row
+#: with k >= 30 was certified; the cap bounds the cached (n, 2n-1) first-order
+#: map to 1 MB and keeps the certificate's factors of n far from rounding.
 _FROZEN_MAX_N = 256
 
 #: Certified relative accuracy of an accepted Newton row.
 _NEWTON_TOL = 1e-13
 
 #: Newton steps before an uncertified row is sent to the dense path.
-#: Measured over n = 2..64: up to 8 at k = 30, at most 4 at k >= 1e3.
+#: Measured over n = 2..256, 3000 rows each: up to 8 at k = 30 (n = 256),
+#: at most 4 at k >= 1e3 and 3 at k >= 1e4.
 _NEWTON_MAX_STEPS = 8
 
 #: Shifts * matrices per Newton block, the elements each NumPy call of the
@@ -182,37 +203,107 @@ def _certified_newton(g, a):
     down each column.
     """
     n, m = a.shape[0], g.shape[1]
-    x = a[:, :1] * g[0]
-    tmp = np.empty_like(x)
-    for i in range(1, 2 * n - 1):
-        np.multiply(a[:, i : i + 1], g[i], out=tmp)
-        x += tmp
+    x, tmp, p, step = (np.empty((n, m)) for _ in range(4))
+    _warm_start(g, a, x, tmp, p)
     dt, e2 = g[:n], g[n:]
     e2 *= e2  # g's off-diagonal is not read again
 
-    # The radius bounds each root's error: (n+1)|step| from f'/f, plus the
-    # rounding of x - step.  A column stops once radius <= tol max|x|, after
-    # which its roots no longer move.  x[0] and -x[-1] bound max|x| from
-    # below, so this never accepts more than the full test would.  A column
-    # that never stops keeps radius = inf, which fails the disc check.
-    radius = np.full(m, np.inf)
-    live = np.ones(m, dtype=bool)
-    p, step = np.empty_like(x), np.empty_like(x)
+    # Per column: max|x| (bounded below by x[0] and -x[-1]), the smallest
+    # gap, the size S of the step just taken and of the last step that
+    # moved the column, and a flag.
+    size, gap, smax, last = np.empty((4, m))
+    flags = np.empty(m, dtype=bool)
+    _size_and_gap(x, tmp, size, gap)
+    # The stop threshold sqrt(tol max|x0| D0 / (n-1)) / 2 (module
+    # docstring); a start that is not descending gets 0 and runs every step.
+    thr = np.multiply(size, gap, out=gap)
+    thr *= _NEWTON_TOL / (8 * (n - 1))
+    np.fmax(thr, 0.0, out=thr)
+    np.sqrt(thr, out=thr)
+
+    # Once at most half of the working columns still step, they are
+    # gathered and the rest written back; cols maps them into the block.
+    # Until a working column stops, the updates need no mask.
+    cols = None
+    xw, dw, ew, tw, pw, sw, lw, thw = x, dt, e2, tmp, p, step, last, thr
+    live, go, sm, moving = np.ones(m, dtype=bool), flags, smax, True
     for _ in range(_NEWTON_MAX_STEPS):
-        _log_derivative(x, dt, e2, tmp, p, step)
-        np.divide(1.0, step, out=step)
-        np.subtract(x, step, out=x, where=live)
-        size = np.maximum(x[0], -x[-1])
-        r = np.max(np.abs(step, out=tmp), axis=0)
-        r *= n + 1
-        r += _EPS * size
-        conv = live & (r <= _NEWTON_TOL * size)
-        radius[conv] = r[conv]
-        live &= ~conv
-        if not live.any():
+        _log_derivative(xw, dw, ew, tw, pw, sw)
+        np.divide(1.0, sw, out=sw)
+        np.subtract(xw, sw, out=xw, where=moving)
+        np.max(np.abs(sw, out=tw), axis=0, out=sm)
+        np.copyto(lw, sm, where=moving)
+        np.greater(sm, thw, out=go)  # a NaN step stops too: x is NaN
+        live &= go
+        width, left = live.shape[0], np.count_nonzero(live)
+        if not left:
             break
-    del tmp, p, step  # freed for the arrays of the bracket check
-    return x, _brackets_hold(x, radius, dt, e2)
+        moving = live if left < width else True
+        if 2 * left <= width:
+            keep = np.flatnonzero(live)
+            if cols is None:
+                cols = keep
+            else:
+                x[:, cols], last[cols] = xw, lw
+                cols = cols[keep]
+            xw, dw, ew = xw[:, keep], dw[:, keep], ew[:, keep]
+            lw, thw = lw[keep], thw[keep]
+            live, go, sm = live[:left], go[:left], sm[:left]
+            live[:] = True
+            moving = True
+            tw, pw, sw = (b.reshape(-1)[: n * left].reshape(n, left)
+                          for b in (tmp, p, step))
+    if cols is not None:
+        x[:, cols], last[cols] = xw, lw
+    del xw, dw, ew, tw, pw, sw, p, step  # freed for the bracket check
+
+    # The radius r = (n-1) S^2 / (D - n S) + eps max|x|, S the last step
+    # and D half the smallest gap of the result; D <= n S gives inf (NaN
+    # if S = 0), which no test passes.
+    _size_and_gap(x, tmp, size, gap)
+    del tmp
+    r = np.multiply(last, -n, out=smax)
+    gap *= 0.5
+    r += gap
+    np.maximum(r, 0.0, out=r)
+    last *= last
+    last *= n - 1
+    np.divide(last, r, out=r)
+    np.multiply(size, _EPS, out=gap)
+    r += gap
+    size *= _NEWTON_TOL
+    ok = np.less_equal(r, size, out=flags)
+    ok &= _brackets_hold(x, r, dt, e2)
+    return x, ok
+
+
+def _warm_start(g, a, x, w, q):
+    """The first-order start A (d, e) into x, from the top half of A.
+
+    The eigenvector of T0 for -z_j is the one for z_j with alternating
+    signs, so the rows of A for z_j and z_{n+1-j} = -z_j have equal V^2
+    halves and opposite 2 V_i V_{i+1} halves.  With P_j and Q_j the two
+    halves applied to d and e, x_j = P_j + Q_j and x_{n+1-j} = P_j - Q_j
+    for j <= ceil(n/2).  w and q are work arrays shaped like x.
+    """
+    n = a.shape[0]
+    h = (n + 1) // 2
+    p, q, t = x[:h], q[:h], w[:h]
+    for acc, part in ((p, range(n)), (q, range(n, 2 * n - 1))):
+        np.multiply(a[:h, part[0] : part[0] + 1], g[part[0]], out=acc)
+        for i in part[1:]:
+            np.multiply(a[:h, i : i + 1], g[i], out=t)
+            acc += t
+    np.subtract(p[: n - h], q[: n - h], out=x[h:][::-1])
+    p += q
+
+
+def _size_and_gap(x, w, size, gap):
+    """max(x[0], -x[-1]) and the smallest gap down each column of x."""
+    np.negative(x[-1], out=size)
+    np.maximum(size, x[0], out=size)
+    np.subtract(x[:-1], x[1:], out=w[:-1])
+    np.min(w[:-1], axis=0, out=gap)
 
 
 def _brackets_hold(x, radius, dt, e2):

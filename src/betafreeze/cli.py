@@ -23,8 +23,10 @@ fixed configuration and seed: no timestamps, no machine-dependent content.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -32,7 +34,7 @@ import numpy as np
 from . import bounds as _bounds
 from . import experiment as _experiment
 from . import sampler as _sampler
-from .errors import BetafreezeError, InvalidConfig, check_n, check_trials
+from .errors import BetafreezeError, InvalidConfig, check_size, check_trials
 from .experiment import ExperimentConfig, format_float
 from .hermite_core import (
     compute_zeros,
@@ -43,12 +45,23 @@ from .rng import default_seed, worker_streams
 from .spectral import build_precision, inverse_power_sum, min_gap, spectrum_deviation
 
 
-def _emit(text: str, out: str | None) -> None:
+@contextlib.contextmanager
+def _result_stream(out: str | None):
+    """Standard output, or the file ``out`` for a run's result.
+
+    The file is opened before the run, so that an unwritable path fails
+    before any trial is drawn, and removed if the run then fails.
+    """
     if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as handle:
-            handle.write(text)
+        yield sys.stdout
+        return
+    handle = open(out, "w")
+    try:
+        with handle:
+            yield handle
+    except BaseException:
+        os.remove(out)
+        raise
 
 
 def _json_dumps(obj) -> str:
@@ -70,12 +83,12 @@ def cmd_zeros(args: argparse.Namespace) -> int:
             "fixed_point_residual": residual,
             "potential_gap": gap,
         }
-        _emit(_json_dumps(payload), None)
+        sys.stdout.write(_json_dumps(payload))
     else:
         lines = ["index,zero"]
         for i, z in enumerate(hz.zeros, start=1):
             lines.append(f"{i},{format_float(float(z))}")
-        _emit("\n".join(lines) + "\n", None)
+        sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -193,7 +206,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             "condition_ok": bd.condition_ok,
             "cor_bound": cor,
         }
-        _emit(_json_dumps(payload), None)
+        sys.stdout.write(_json_dumps(payload))
     else:
         header = ("n,k,c,eps,term_quartic,term_stirling,e_factor,"
                   "term_gaussian,total,total_clamped,condition_ok,cor_bound")
@@ -211,7 +224,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             "true" if bd.condition_ok else "false",
             "" if cor is None else format_float(cor),
         ])
-        _emit(header + "\n" + row + "\n", None)
+        sys.stdout.write(header + "\n" + row + "\n")
     return 0
 
 
@@ -230,11 +243,18 @@ def cmd_tail(args: argparse.Namespace) -> int:
         eps=args.eps, c=args.c, workers=args.workers,
         confidence=args.confidence,
     )
+    cfg.validate()
     eps = cfg.resolve_eps()
-    if args.norm == "l2":
-        est = _experiment.estimate_tail_l2(cfg)
-    else:
-        est = _experiment.estimate_tail_sup(cfg)
+    with _result_stream(args.out) as stream:
+        if args.norm == "l2":
+            est = _experiment.estimate_tail_l2(cfg)
+        else:
+            est = _experiment.estimate_tail_sup(cfg)
+        stream.write(_tail_row(args, eps, seed, est))
+    return 0
+
+
+def _tail_row(args: argparse.Namespace, eps: float, seed: int, est) -> str:
     header = ("n,k,norm,eps,trials,seed,workers,confidence,"
               "hits,p_hat,ci_low,ci_high")
     row = ",".join([
@@ -251,8 +271,7 @@ def cmd_tail(args: argparse.Namespace) -> int:
         format_float(est.ci_low),
         format_float(est.ci_high),
     ])
-    _emit(header + "\n" + row + "\n", args.out)
-    return 0
+    return header + "\n" + row + "\n"
 
 
 # ----------------------------------------------------------------------
@@ -262,7 +281,14 @@ def cmd_tail(args: argparse.Namespace) -> int:
 def cmd_clt(args: argparse.Namespace) -> int:
     seed = default_seed() if args.seed is None else args.seed
     cfg = ExperimentConfig(n=args.n, k=args.k, trials=args.trials, seed=seed)
-    report = _experiment.clt_covariance_test(cfg)
+    cfg.validate()
+    with _result_stream(args.out) as stream:
+        report = _experiment.clt_covariance_test(cfg)
+        stream.write(_clt_row(report, seed))
+    return 0
+
+
+def _clt_row(report, seed: int) -> str:
     header = "n,k,trials,seed,mean_norm,cov_rel_err"
     row = ",".join([
         str(report.n),
@@ -272,8 +298,7 @@ def cmd_clt(args: argparse.Namespace) -> int:
         format_float(report.mean_norm),
         format_float(report.cov_rel_err),
     ])
-    _emit(header + "\n" + row + "\n", args.out)
-    return 0
+    return header + "\n" + row + "\n"
 
 
 # ----------------------------------------------------------------------
@@ -315,7 +340,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # checks each point makes.
     check_trials(trials)
     for n in ns:
-        check_n(n)
+        check_size(n)
     for k in ks:
         for c in cs:
             _bounds.cor_eps(k, c)

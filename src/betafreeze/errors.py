@@ -8,6 +8,13 @@ a module that needs a stricter domain adds only that part on top.
 
 import math
 
+#: Largest n of an ensemble that is sampled, solved or factored.  The
+#: program forms n x n arrays there (the dense eigensolver, the precision
+#: matrix, the zero identities), and at this n one float64 matrix is the
+#: dense eigensolver's whole budget of 4e6 elements (32 MB).  The bound
+#: formulas take any N.
+MAX_N = 2000
+
 
 class BetafreezeError(Exception):
     """Base class for all betafreeze errors."""
@@ -21,6 +28,13 @@ def check_n(n: int, name: str = "n") -> None:
     """The ensemble size: n >= 2."""
     if not n >= 2:
         raise InvalidConfig(f"{name} must be >= 2, got {n}")
+
+
+def check_size(n: int, name: str = "n") -> None:
+    """The size of an ensemble the program samples or solves: 2 <= n <= MAX_N."""
+    check_n(n, name)
+    if n > MAX_N:
+        raise InvalidConfig(f"{name} must be <= {MAX_N}, got {n}")
 
 
 def check_k(k: float) -> None:
@@ -69,7 +83,9 @@ __all__ = [
     "DegenerateInput",
     "FactorizationFailure",
     "ConditionViolated",
+    "MAX_N",
     "check_n",
+    "check_size",
     "check_k",
     "check_trials",
     "check_threshold",

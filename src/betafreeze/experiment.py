@@ -31,7 +31,14 @@ import numpy as np
 from . import _core
 from . import bounds as _bounds
 from . import sampler as _sampler
-from .errors import InvalidConfig, check_k, check_n, check_threshold, check_trials
+from .errors import (
+    InvalidConfig,
+    check_k,
+    check_n,
+    check_size,
+    check_threshold,
+    check_trials,
+)
 from .hermite_core import compute_zeros
 from .rng import worker_streams
 from .spectral import build_precision
@@ -109,7 +116,7 @@ class ExperimentConfig:
     confidence: float = 0.99
 
     def validate(self) -> None:
-        check_n(self.n)
+        check_size(self.n)
         check_k(self.k)
         check_trials(self.trials)
         _check_run(self.workers, self.confidence)

@@ -30,6 +30,7 @@ from .errors import (
     InvalidConfig,
     check_k,
     check_n,
+    check_size,
 )
 
 _LN2 = math.log(2.0)
@@ -177,13 +178,13 @@ def compute_zeros(n: int, tol: float = 1e-12) -> HermiteZeros:
     restores full precision; the negative half is an exact mirror, which
     makes the antisymmetry and every downstream identity maximally clean.
 
+    n is at most ``errors.MAX_N``: the residual check forms an n x n array.
     Raises ConvergenceFailure if the polished vector does not reach the
     requested fixed-point residual (i.e. the tolerance is tighter than the
     working precision supports).  Results are cached by (n, tol); the
     returned HermiteZeros is immutable, so callers share it.
     """
-    if n < 2:
-        raise InvalidConfig(f"order must be >= 2, got {n}")
+    check_size(n)
     if not tol > 0.0:
         raise InvalidConfig(f"tol must be positive, got {tol}")
     guesses = scipy.linalg.eigvalsh_tridiagonal(

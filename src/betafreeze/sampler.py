@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from . import _core
-from .errors import InvalidConfig, check_k, check_n, check_trials
+from .errors import InvalidConfig, check_k, check_size, check_trials
 from .hermite_core import compute_zeros
 
 _SQRT2 = math.sqrt(2.0)
@@ -99,7 +99,7 @@ def sample_tridiagonal_batch(
     then all off-diagonals; this stream layout (normals block, then gammas
     block) is a fixed part of the reproducibility contract.
     """
-    check_n(n)
+    check_size(n)
     check_k(k)
     check_trials(trials)
     d = rng.standard_normal((trials, n))
@@ -142,7 +142,7 @@ def first_order_map(n: int) -> np.ndarray:
     its eigenvalues, so A (d, e) is the first-order eigenvalue estimate
     whatever the scale k.  Results are cached by n and read-only.
     """
-    check_n(n)
+    check_size(n)
     t0 = np.diag(np.sqrt(np.arange(n - 1, 0, -1, dtype=float)), 1)
     _, vecs = np.linalg.eigh(t0 + t0.T)
     v = vecs[:, ::-1]

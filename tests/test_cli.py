@@ -1,16 +1,25 @@
 """Command line interface: schemas, exit codes, byte-level determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import betafreeze as bf
+from betafreeze import _core
+from betafreeze import experiment as _experiment
+from betafreeze import sampler as _sampler
 from betafreeze.cli import main
+from betafreeze.errors import MAX_N, ConvergenceFailure
 from betafreeze.experiment import CHUNK
 
 
@@ -307,3 +316,108 @@ def test_sample_peak_rss_does_not_grow_with_trials():
     one = _sample_peak_rss_mb(CHUNK)
     three = _sample_peak_rss_mb(3 * CHUNK)
     assert three - one < 10.0, (one, three)
+
+
+# ----------------------------------------------------------------------
+# one upper bound on n, an unwritable --out, and the exit codes
+# ----------------------------------------------------------------------
+
+def test_size_cap_fits_one_dense_matrix():
+    assert MAX_N * MAX_N <= _core._DENSE_BUDGET < (MAX_N + 1) ** 2
+
+
+def _sweep_config(path, n, k, c, trials) -> str:
+    with open(path, "w") as handle:
+        json.dump({"n": [n], "k": [k], "c": [c], "trials": trials}, handle)
+    return path
+
+
+@pytest.mark.parametrize("n", (MAX_N + 1, 10**8))
+@pytest.mark.parametrize("command", ("zeros", "verify", "sample", "tail",
+                                     "clt", "sweep"))
+def test_size_above_cap_rejected(command, n, tmp_path, capsys):
+    # Every command that samples, solves or factors an n x n matrix rejects
+    # n above the cap before it allocates anything.
+    argv = {
+        "zeros": ["zeros", "--n", str(n)],
+        "verify": ["verify", "--n", str(n)],
+        "sample": ["sample", "--n", str(n), "--k", "1e4", "--trials", "1"],
+        "tail": ["tail", "--n", str(n), "--k", "1e4", "--c", "1", "--norm",
+                 "l2", "--trials", "1"],
+        "clt": ["clt", "--n", str(n), "--k", "1e4", "--trials", "1"],
+        "sweep": ["sweep", "--config", _sweep_config(
+            str(tmp_path / "grid.json"), n, 1e4, 1.0, 1)],
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"n must be <= {MAX_N}, got {n}" in captured.err
+
+
+RUNS = [
+    ["tail", "--n", "2", "--k", "1e4", "--c", "1", "--norm", "l2",
+     "--trials", "100"],
+    ["clt", "--n", "3", "--k", "1e4", "--trials", "100"],
+]
+
+
+@pytest.mark.parametrize("argv", RUNS)
+def test_unwritable_out_fails_before_any_trial(argv, tmp_path, monkeypatch,
+                                               capsys):
+    def no_draw(*args):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr(_sampler, "sample_tridiagonal_batch", no_draw)
+    out = tmp_path / "missing" / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "No such file or directory" in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("argv", RUNS)
+def test_failed_run_leaves_no_out_file(argv, tmp_path, monkeypatch):
+    def fail(*args):
+        raise ConvergenceFailure("no convergence")
+
+    monkeypatch.setattr(_experiment, "estimate_tail_l2", fail)
+    monkeypatch.setattr(_experiment, "clt_covariance_test", fail)
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 3
+    assert not out.exists()
+
+
+#: n at the edges of its domain; log-uniform k, eps and c, plus the values
+#: outside every domain.
+EDGE_SIZES = st.sampled_from([-1, 0, 1, 2, 3, MAX_N, MAX_N + 1, 10**30])
+EDGE_REALS = st.one_of(
+    st.floats(-150.0, 150.0).map(lambda x: 10.0 ** x),
+    st.sampled_from([0.0, -1.0, -math.inf, math.inf, math.nan]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(["zeros", "verify", "sample", "tail", "clt",
+                                "sweep"]),
+       n=EDGE_SIZES, k=EDGE_REALS, threshold=EDGE_REALS, use_c=st.booleans(),
+       trials=st.integers(-1, 50))
+def test_commands_exit_only_0_2_or_3(command, n, k, threshold, use_c, trials):
+    if n == MAX_N:
+        trials = min(trials, 1)  # one dense 2000 x 2000 solve per trial
+    flag = "--c" if use_c else "--eps"
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = {
+            "zeros": ["zeros", f"--n={n}"],
+            "verify": ["verify", f"--n={n}"],
+            "sample": ["sample", f"--n={n}", f"--k={k!r}",
+                       f"--trials={trials}"],
+            "tail": ["tail", f"--n={n}", f"--k={k!r}", f"{flag}={threshold!r}",
+                     "--norm", "l2" if use_c else "sup", f"--trials={trials}"],
+            "clt": ["clt", f"--n={n}", f"--k={k!r}", f"--trials={trials}"],
+            "sweep": ["sweep", "--config", _sweep_config(
+                os.path.join(tmp, "grid.json"), n, k, threshold, trials)],
+        }[command]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

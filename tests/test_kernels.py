@@ -16,6 +16,7 @@ from betafreeze._core import (
     _dense,
     _frozen_gate,
     _frozen_rows,
+    _warm_start,
     eigvals_batch,
 )
 from betafreeze.errors import ConvergenceFailure, InvalidConfig
@@ -255,3 +256,87 @@ def test_nan_in_frozen_batch_is_convergence_failure(where):
     (d if where == "diagonal" else e)[7, 2] = np.nan
     with pytest.raises(ConvergenceFailure):
         eigvals_batch(d, e)
+
+
+# ----------------------------------------------------------------------
+# the gap-aware certificate, per-column stop and half-size start
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", (2, 3, 5, 8, 32, 256))
+def test_half_size_start_matches_full_map(n):
+    # The start from the top ceil(n/2) rows of A, mirrored, equals the
+    # full A (d, e) loop to rounding.
+    d, e = _ensemble_rows(n, 1e4, 300)
+    g = np.concatenate([d, e], axis=1).T.copy()
+    a = first_order_map(n)
+    full = a[:, :1] * g[0]
+    for i in range(1, 2 * n - 1):
+        full = full + a[:, i : i + 1] * g[i]
+    x = np.empty((n, g.shape[1]))
+    _warm_start(g, a, x, np.empty_like(x), np.empty_like(x))
+    assert np.all(np.abs(x - full) <= 1e-14 * np.max(np.abs(full), axis=0))
+
+
+def test_radius_needs_gap_above_n_steps(monkeypatch):
+    # n = 2, d = (c + 9, c - 9), e = 12: eigenvalues c +- 15.  A start at
+    # c +- 30 (two roots a hair apart, 2e-13 relative) stops after one
+    # step at c +- 18.75 with S = 11.25 and D = 18.75 <= n S = 22.5, so no
+    # radius follows and the row must come from the dense path, though
+    # (n-1) S^2 / D alone would be small enough.
+    c = 2.0 ** 48
+    d = np.array([[c + 9.0, c - 9.0]])
+    e = np.array([[12.0]])
+    start = np.array([[0.5, 0.5, 2.5], [0.5, 0.5, -2.5]])
+    g = np.concatenate([d, e], axis=1).T.copy()
+    with np.errstate(divide="ignore"):
+        roots, ok = _certified_newton(g, start)
+    np.testing.assert_array_equal(roots[:, 0], [c + 18.75, c - 18.75])
+    assert 11.25**2 / 18.75 + _core._EPS * c <= _core._NEWTON_TOL * c
+    assert not ok.any()
+    assert _frozen_gate(e).all()
+    monkeypatch.setattr(sampler, "first_order_map", lambda m: start)
+    np.testing.assert_array_equal(eigvals_batch(d, e), _dense(d, e))
+
+
+def _count_column_steps(monkeypatch):
+    widths = []
+    step = _core._log_derivative
+
+    def counted(x, *args):
+        widths.append(x.shape[1])
+        return step(x, *args)
+
+    monkeypatch.setattr(_core, "_log_derivative", counted)
+    return widths
+
+
+def test_column_steps_per_row(monkeypatch):
+    # At n = 32, k = 1e4 a row is certified by its second step, or rarely
+    # its third: the step that finds the root also certifies it.
+    d, e = _ensemble_rows(32, 1e4, 4096)
+    widths = _count_column_steps(monkeypatch)
+    eigvals_batch(d, e)
+    assert sum(widths) / 4096 <= 2.2
+
+
+def test_compaction_keeps_rows_independent(monkeypatch):
+    # Rows at k = 1e4, 1e2 and 30 stop after different numbers of steps,
+    # so the block gathers its live columns more than once.  Every row must
+    # still equal its solve alone (a one-column block never gathers), under
+    # any block size.
+    ks = (1e4, 1e4, 1e4, 1e2, 1e4, 30.0, 1e4, 1e2)
+    d, e = np.empty((2000, 8)), np.empty((2000, 7))
+    for i, k in enumerate(ks):
+        d[i :: len(ks)], e[i :: len(ks)] = _ensemble_rows(8, k, 250, seed=20 + i)
+    widths = _count_column_steps(monkeypatch)
+    whole = eigvals_batch(d, e)
+    assert len(set(widths)) >= 3  # gathered at least twice
+    want = _reference(d, e)
+    scale = np.max(np.abs(want), axis=1, keepdims=True)
+    assert np.all(np.abs(whole - want) <= 1e-13 * scale)
+    for row in range(0, 64):
+        single = eigvals_batch(d[row : row + 1], e[row : row + 1])
+        np.testing.assert_array_equal(whole[row], single[0])
+    for block in (1024, 4096):
+        monkeypatch.setattr(_core, "_BLOCK_ELEMENTS", block)
+        np.testing.assert_array_equal(eigvals_batch(d, e), whole)

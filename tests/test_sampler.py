@@ -250,3 +250,14 @@ def test_first_order_map_cached_read_only():
     uncached = bf.first_order_map.__wrapped__(12)
     assert uncached is not first
     np.testing.assert_array_equal(first, uncached)
+
+
+@pytest.mark.parametrize("n", (2, 3, 5, 8, 32, 256))
+def test_first_order_map_rows_mirror(n):
+    # The eigenvector of T0 for -z_j alternates the signs of the one for
+    # z_j, so the rows for z_j and z_{n+1-j} have equal V^2 halves and
+    # opposite 2 V_i V_{i+1} halves: the Newton path's warm start uses
+    # only the top half of the rows.
+    a = bf.first_order_map(n)
+    np.testing.assert_allclose(a[::-1, :n], a[:, :n], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(a[::-1, n:], -a[:, n:], rtol=0, atol=1e-14)
