@@ -19,7 +19,7 @@ Two paths, chosen per row from the row itself:
   n roots at once in O(n^2) work per matrix.
 * **Dense.**  Every other row is densified into a (batch, n, n) stack and
   solved by the batched LAPACK symmetric eigensolver, in blocks of at most
-  ``_DENSE_BUDGET`` elements.
+  ``_DENSE_BUDGET`` = ``errors.MAX_N``^2 elements.
 
 The gate reads e alone, before any copy; a batch in which no row passes it
 goes to the dense path whole.
@@ -60,13 +60,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConvergenceFailure, InvalidConfig
+from .errors import MAX_N, ConvergenceFailure, InvalidConfig
 
 #: The eigensolver paths, for run reports (the benchmark manifest reads it).
 BACKEND = "frozen-newton+dense-eigvalsh"
 
-#: Cap on batch * n * n elements densified at once (~32 MB of float64).
-_DENSE_BUDGET = 4_000_000
+#: Cap on batch * n * n elements densified at once: one matrix at MAX_N.
+_DENSE_BUDGET = MAX_N * MAX_N
 
 #: Rows whose scale estimate s^2 (about k) is below this go to dense.  From
 #: measurement: at k = 30 the rows of n = 2..256 were certified (all but 4

@@ -2,9 +2,9 @@
 
 Subcommands::
 
-    zeros   --n N [--tol T] [--format csv|json]
+    zeros   --n N [--format csv|json]
     verify  --n N
-    sample  --n N --k K --trials T [--seed S] [--format csv]
+    sample  --n N --k K --trials T [--seed S]
     bounds  --n N --k K (--eps E | --c C) [--format csv|json]
     tail    --n N --k K (--eps E | --c C) --norm l2|sup --trials T
             [--seed S] [--workers W] [--confidence Q] [--out FILE]
@@ -73,7 +73,7 @@ def _json_dumps(obj) -> str:
 # ----------------------------------------------------------------------
 
 def cmd_zeros(args: argparse.Namespace) -> int:
-    hz = compute_zeros(args.n, tol=args.tol)
+    hz = compute_zeros(args.n)
     residual = fixed_point_residual(hz.zeros)
     gap = potential_identity_gap(hz.zeros)
     if args.format == "json":
@@ -323,19 +323,28 @@ def _load_sweep_config(path: str) -> dict:
     return raw
 
 
+def _config_int(value, key: str) -> int:
+    """A sweep config integer; int() would truncate 2.9 and take true as 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidConfig(f"config key '{key}' must be an integer, got {value!r}")
+    return value
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     raw = _load_sweep_config(args.config)
+    ns = [_config_int(v, "n") for v in raw["n"]]
+    trials = _config_int(raw["trials"], "trials")
+    seed = _config_int(raw["seed"], "seed") if "seed" in raw else default_seed()
+    workers = _config_int(raw.get("workers", 1), "workers")
     try:
-        ns = [int(v) for v in raw["n"]]
         ks = [float(v) for v in raw["k"]]
         cs = [float(v) for v in raw["c"]]
-        trials = int(raw["trials"])
-        seed = int(raw["seed"]) if "seed" in raw else default_seed()
-        workers = int(raw.get("workers", 1))
         confidence = float(raw.get("confidence", 0.99))
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidConfig(f"config value not a number: {exc}")
     out = raw.get("out")
+    if out is not None and not isinstance(out, str):
+        raise InvalidConfig(f"config key 'out' must be a file path, got {out!r}")
     # The whole grid is checked before the first point runs, with the
     # checks each point makes.
     check_trials(trials)
@@ -370,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("zeros", help="Hermite zeros with identity residuals")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_zeros)
 
@@ -383,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=float, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--format", choices=("csv",), default="csv")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("bounds", help="evaluate the explicit tail bounds")

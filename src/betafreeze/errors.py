@@ -8,11 +8,11 @@ a module that needs a stricter domain adds only that part on top.
 
 import math
 
-#: Largest n of an ensemble that is sampled, solved or factored.  The
-#: program forms n x n arrays there (the dense eigensolver, the precision
-#: matrix, the zero identities), and at this n one float64 matrix is the
-#: dense eigensolver's whole budget of 4e6 elements (32 MB).  The bound
-#: formulas take any N.
+#: Largest n of an ensemble that is sampled, solved or factored; every n up
+#: to it works.  The program forms n x n arrays there (the dense eigensolver,
+#: the precision matrix, the zero identities), and the dense eigensolver's
+#: budget ``_core._DENSE_BUDGET`` is one float64 matrix at this n (32 MB).
+#: The bound formulas take any N.
 MAX_N = 2000
 
 
@@ -58,9 +58,8 @@ def check_threshold(x: float, name: str = "eps") -> None:
 class ConvergenceFailure(BetafreezeError):
     """An iterative numerical procedure exhausted its budget.
 
-    Raised by the zero finder when the requested tolerance is tighter than the
-    working precision can deliver, and by the tridiagonal eigensolver when the
-    shift iteration exceeds its sweep budget.
+    Raised by the zero finder when its polish misses the residual bound, and
+    by the tridiagonal eigensolver when LAPACK does not converge on a row.
     """
 
 

@@ -189,17 +189,15 @@ def _run_workers(
 
     Worker w gets worker_streams(seed, workers, prefix)[w] and the w-th
     block of the static partition.  Results are returned in worker order
-    regardless of scheduling; workers with zero trials are skipped.  The
+    regardless of scheduling.  Workers beyond the first ``trials`` would
+    get no trials, so neither their streams nor their blocks are built.  The
     pool has at most one thread per CPU; each logical worker keeps its own
     stream and block of trials, so the results do not depend on the pool
     size.
     """
+    workers = min(workers, trials)
     streams = worker_streams(seed, workers, prefix=prefix)
-    jobs = [
-        (streams[w], t)
-        for w, t in enumerate(_partition(trials, workers))
-        if t > 0
-    ]
+    jobs = list(zip(streams, _partition(trials, workers)))
     if len(jobs) <= 1:
         return [worker_fn(rng, t) for rng, t in jobs]
     threads = min(len(jobs), os.cpu_count() or 1)

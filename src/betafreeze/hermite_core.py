@@ -169,8 +169,8 @@ def _newton_ratio(n: int, x: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=32)
-def compute_zeros(n: int, tol: float = 1e-12) -> HermiteZeros:
-    """Zeros of H_n, strictly descending, to fixed-point residual <= tol.
+def compute_zeros(n: int) -> HermiteZeros:
+    """Zeros of H_n, strictly descending, certified by their fixed-point residual.
 
     Strategy: eigenvalues of the symmetric tridiagonal Jacobi matrix of the
     Hermite recurrence (zero diagonal, off-diagonal sqrt(i/2)) give globally
@@ -179,14 +179,13 @@ def compute_zeros(n: int, tol: float = 1e-12) -> HermiteZeros:
     makes the antisymmetry and every downstream identity maximally clean.
 
     n is at most ``errors.MAX_N``: the residual check forms an n x n array.
-    Raises ConvergenceFailure if the polished vector does not reach the
-    requested fixed-point residual (i.e. the tolerance is tighter than the
-    working precision supports).  Results are cached by (n, tol); the
+    Raises ConvergenceFailure unless the fixed-point residual is at most
+    4 n eps / min gap (eps machine epsilon, min gap the smallest distance
+    between neighbouring zeros), 4x the rounding of the residual's own sum;
+    no n up to ``errors.MAX_N`` exceeds 0.67x.  Results are cached by n; the
     returned HermiteZeros is immutable, so callers share it.
     """
     check_size(n)
-    if not tol > 0.0:
-        raise InvalidConfig(f"tol must be positive, got {tol}")
     guesses = scipy.linalg.eigvalsh_tridiagonal(
         np.zeros(n), np.sqrt(np.arange(1, n) / 2.0)
     )
@@ -206,10 +205,10 @@ def compute_zeros(n: int, tol: float = 1e-12) -> HermiteZeros:
         zeros = np.concatenate([x, -x[::-1]])
     result = HermiteZeros(n=n, zeros=zeros)
     residual = fixed_point_residual(result)
-    if not residual <= tol:
+    bound = 4.0 * n * np.finfo(float).eps / np.min(zeros[:-1] - zeros[1:])
+    if not residual <= bound:
         raise ConvergenceFailure(
-            f"fixed-point residual {residual:.3e} exceeds tol {tol:.3e} "
-            f"(tolerance too tight for the working precision at n={n})"
+            f"fixed-point residual {residual:.3e} exceeds {bound:.3e} at n={n}"
         )
     return result
 

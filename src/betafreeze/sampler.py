@@ -155,6 +155,12 @@ def first_order_map(n: int) -> np.ndarray:
 # Metropolis oracle
 # ----------------------------------------------------------------------
 
+#: The oracle's chains, its burn-in steps, and its steps per kept state.
+_MH_CHAINS = 50
+_MH_BURN_IN = 20_000
+_MH_THIN = 100
+
+
 def _log_target(x: np.ndarray, k: float, iu: np.ndarray, ju: np.ndarray) -> np.ndarray:
     """log density (up to a constant) at each row of x: the unordered law."""
     pair_term = np.sum(np.log(np.abs(x[:, iu] - x[:, ju])), axis=1)
@@ -162,51 +168,46 @@ def _log_target(x: np.ndarray, k: float, iu: np.ndarray, ju: np.ndarray) -> np.n
 
 
 def mh_oracle_chain(
-    n: int,
-    k: float,
-    rng: np.random.Generator,
-    draws: int,
-    burn_in: int = 20_000,
-    thin: int = 100,
-    chains: int = 50,
+    n: int, k: float, rng: np.random.Generator, draws: int
 ) -> np.ndarray:
     """(draws, n) array of approximate ordered draws from independent chains.
 
     Random-walk Metropolis on the unordered coordinates with isotropic
-    Gaussian proposals.  The step scale adapts toward ~25% acceptance during
-    burn-in only (stochastic-approximation update) and is frozen afterwards,
-    so the kept draws target the exact density.  Chains start near the frozen
-    configuration sqrt(2k) z and are thinned so residual autocorrelation is
-    negligible; each kept draw is sorted descending.
+    Gaussian proposals in ``_MH_CHAINS`` chains.  The step scale adapts
+    toward ~25% acceptance during burn-in only (stochastic-approximation
+    update) and is frozen afterwards, so the kept draws target the exact
+    density.  Chains start near the frozen configuration sqrt(2k) z and are
+    thinned so residual autocorrelation is negligible; draw i comes from
+    chain i mod ``_MH_CHAINS`` and is sorted descending.
     """
     if n not in (2, 3):
         raise InvalidConfig("the oracle is restricted to n in {2, 3}")
     if not 0.0 < k <= 10.0:
         raise InvalidConfig("the oracle is restricted to k <= 10")
-    if draws < 1 or burn_in < 0 or thin < 1 or chains < 1:
-        raise InvalidConfig("draws/burn_in/thin/chains out of range")
+    if draws < 1:
+        raise InvalidConfig(f"draws must be >= 1, got {draws}")
 
     iu, ju = np.triu_indices(n, k=1)
     z = compute_zeros(n).zeros
-    x = math.sqrt(2.0 * k) * z + 0.5 * rng.standard_normal((chains, n))
+    x = math.sqrt(2.0 * k) * z + 0.5 * rng.standard_normal((_MH_CHAINS, n))
     logp = _log_target(x, k, iu, ju)
     log_scale = math.log(0.5 / math.sqrt(n))
 
     kept = np.empty((draws, n))
     n_kept = 0
-    per_chain = -(-draws // chains)  # ceil
-    total_steps = burn_in + per_chain * thin
+    per_chain = -(-draws // _MH_CHAINS)  # ceil
+    total_steps = _MH_BURN_IN + per_chain * _MH_THIN
     for step in range(total_steps):
-        proposal = x + math.exp(log_scale) * rng.standard_normal((chains, n))
+        proposal = x + math.exp(log_scale) * rng.standard_normal((_MH_CHAINS, n))
         logp_prop = _log_target(proposal, k, iu, ju)
-        accept = np.log(rng.random(chains)) < logp_prop - logp
+        accept = np.log(rng.random(_MH_CHAINS)) < logp_prop - logp
         x[accept] = proposal[accept]
         logp[accept] = logp_prop[accept]
-        if step < burn_in:
+        if step < _MH_BURN_IN:
             rate = float(np.mean(accept))
             log_scale += (rate - 0.25) / (1.0 + step) ** 0.6
-        elif (step - burn_in + 1) % thin == 0:
-            take = min(chains, draws - n_kept)
+        elif (step - _MH_BURN_IN + 1) % _MH_THIN == 0:
+            take = min(_MH_CHAINS, draws - n_kept)
             kept[n_kept : n_kept + take] = x[:take]
             n_kept += take
     kept.sort(axis=1)

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import betafreeze as bf
-from betafreeze import _core
+from betafreeze import _core, cli, hermite_core
 from betafreeze import experiment as _experiment
 from betafreeze import sampler as _sampler
 from betafreeze.cli import main
@@ -175,10 +175,32 @@ def test_exit_codes():
                    "--norm", "l2", "--trials", "10").returncode == 2
     # argparse rejects unknown flags with 2 as well
     assert run_cli("zeros", "--n", "4", "--bogus").returncode == 2
-    # numerical failure (unreachable tolerance) -> 3
-    assert run_cli("zeros", "--n", "8", "--tol", "1e-30").returncode == 3
     # no subcommand -> help, exit 2
     assert run_cli().returncode == 2
+
+
+def test_failed_zero_polish_exits_3(monkeypatch, capsys):
+    # numerical failure -> 3: a polish that steps the wrong way misses the
+    # residual bound.  The cache is bypassed so n = 8 is polished afresh.
+    monkeypatch.setattr(hermite_core, "_newton_ratio",
+                        lambda n, x: np.full_like(x, -1e-9))
+    monkeypatch.setattr(cli, "compute_zeros",
+                        hermite_core.compute_zeros.__wrapped__)
+    assert main(["zeros", "--n", "8"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "fixed-point residual" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["zeros", "--n", "8", "--tol", "1e-12"],
+    ["sample", "--n", "2", "--k", "1", "--trials", "1", "--format", "csv"],
+])
+def test_removed_flags_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -216,17 +238,36 @@ def test_invalid_sweep_config_values(tmp_path):
     {"n": [2], "k": [1e3], "c": [1.0], "trials": "many"},
     {"n": [2], "k": [1e3], "c": [1.0], "trials": 5, "workers": 0},
     {"n": [2], "k": [1e3], "c": [1.0], "trials": 5, "confidence": 1.0},
+    {"n": [2.9], "k": [1e3], "c": [1.0], "trials": 5},
+    {"n": [2], "k": [1e3], "c": [1.0], "trials": 10.9},
+    {"n": [2], "k": [1e3], "c": [1.0], "trials": True},
+    {"n": [2], "k": [1e3], "c": [1.0], "trials": 5, "seed": 1.5},
+    {"n": [2], "k": [1e3], "c": [1.0], "trials": 5, "workers": 1.5},
 ])
 def test_sweep_grid_rejected_before_any_point_runs(cfg, tmp_path, capsys):
     # A non-finite k or c used to fail at its own grid point, after the
     # earlier rows were written; a non-number raised a bare traceback; bad
-    # workers or confidence left a file holding only the header.
+    # workers or confidence left a file holding only the header; a
+    # fractional or boolean integer field was truncated and run.
     out = tmp_path / "sweep.csv"
     path = tmp_path / "grid.json"
     path.write_text(json.dumps({**cfg, "out": str(out)}))
     assert main(["sweep", "--config", str(path)]) == 2
     assert not out.exists()
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("out", [[], {}, 3.5, True, 1])
+def test_sweep_out_must_be_a_path(out, tmp_path, capsys):
+    # A list, dict or float raised a TypeError traceback; true and 1 were
+    # taken as file descriptor 1, which the sweep wrote to and closed.
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"n": [2], "k": [1e3], "c": [1.0],
+                                "trials": 5, "out": out}))
+    assert main(["sweep", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config key 'out' must be a file path" in captured.err
 
 
 def test_seed_env_garbage_rejected():
@@ -352,6 +393,32 @@ def test_size_above_cap_rejected(command, n, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"n must be <= {MAX_N}, got {n}" in captured.err
+
+
+@pytest.mark.parametrize("command", ("zeros", "verify", "sample", "tail-l2",
+                                     "tail-sup", "sweep", "clt"))
+def test_sizes_up_to_the_cap_run(command, tmp_path, capsys):
+    # The Hermite zeros' residual bound grows with n, so the largest sizes
+    # work; they share the cached zeros.  clt runs at n = 1000, since at
+    # the cap its n x n moment arrays need about 1 GB.
+    n = str(MAX_N)
+    argv = {
+        "zeros": ["zeros", "--n", n],
+        "verify": ["verify", "--n", n],
+        "sample": ["sample", "--n", n, "--k", "1e4", "--trials", "1"],
+        "tail-l2": ["tail", "--n", n, "--k", "1e4", "--c", "1", "--norm",
+                    "l2", "--trials", "1"],
+        "tail-sup": ["tail", "--n", n, "--k", "1e4", "--c", "1", "--norm",
+                     "sup", "--trials", "1"],
+        "sweep": ["sweep", "--config", _sweep_config(
+            str(tmp_path / "grid.json"), MAX_N, 1e4, 1.0, 1)],
+        "clt": ["clt", "--n", "1000", "--k", "1e4", "--trials", "1"],
+    }[command]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if command == "verify":
+        assert f"verify n={MAX_N}: all 9 checks passed" in captured.out
 
 
 RUNS = [

@@ -11,6 +11,7 @@ import pytest
 
 import betafreeze as bf
 from betafreeze import experiment
+from betafreeze.cli import main
 from betafreeze.errors import InvalidConfig
 from betafreeze.experiment import CHUNK, SWEEP_COLUMNS, _partition, format_float
 
@@ -133,6 +134,30 @@ def test_tail_matches_manual_partition(zeros_cache):
     assert est.hits == hits
     lo, hi = bf.clopper_pearson(hits, trials, 0.99)
     assert est.ci_low == lo and est.ci_high == hi
+
+
+def test_streams_only_for_workers_with_trials(monkeypatch, capsys):
+    # Workers beyond the trial count get no trials, so no stream is built
+    # for them; the estimate is the one at workers = trials, and the
+    # workers column still prints what was asked for.
+    real = experiment.worker_streams
+
+    def streams(seed, workers, prefix=()):
+        if workers > 3:
+            raise AssertionError(f"{workers} streams for 3 trials")
+        return real(seed, workers, prefix=prefix)
+
+    monkeypatch.setattr(experiment, "worker_streams", streams)
+    argv = ["tail", "--n", "2", "--k", "4", "--eps", "0.3", "--norm", "l2",
+            "--trials", "3", "--seed", "9", "--workers"]
+    rows = []
+    for workers in ("3", "1000000000"):
+        assert main(argv + [workers]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        rows.append(row.split(","))
+    col = header.split(",").index("workers")
+    assert [row.pop(col) for row in rows] == ["3", "1000000000"]
+    assert rows[0] == rows[1]
 
 
 def test_worker_counts_statistically_consistent():

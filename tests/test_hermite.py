@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import betafreeze as bf
+from betafreeze import hermite_core
 from betafreeze.errors import ConvergenceFailure, DegenerateInput, InvalidConfig
 
 mp.mp.dps = 60
@@ -159,14 +160,26 @@ def test_zeros_match_quadrature_nodes(zeros_cache):
         np.testing.assert_allclose(zeros_cache(n).zeros, nodes, rtol=0, atol=5e-13)
 
 
-def test_zeros_invalid_and_unreachable_tolerance():
+def test_zeros_invalid_size_and_failed_polish(monkeypatch):
     with pytest.raises(InvalidConfig):
         bf.compute_zeros(1)
     with pytest.raises(InvalidConfig):
         bf.compute_zeros(0)
+    # A polish that steps the wrong way must not pass the residual check.
+    monkeypatch.setattr(hermite_core, "_newton_ratio",
+                        lambda n, x: np.full_like(x, -1e-9))
     for n in (2, 10):
         with pytest.raises(ConvergenceFailure):
-            bf.compute_zeros(n, tol=1e-30)
+            bf.compute_zeros.__wrapped__(n)
+
+
+@pytest.mark.parametrize("n", (2, 739, 850, 1675, 2000))
+def test_zero_residual_a_quarter_of_its_bound(n, zeros_cache):
+    # The bound 4 n eps / min gap that compute_zeros accepts leaves a margin
+    # of 4x here; a fixed 1e-12 failed at 1188 sizes, the first n = 739.
+    z = zeros_cache(n).zeros
+    bound = 4.0 * n * np.finfo(float).eps / bf.min_gap(z)
+    assert bf.fixed_point_residual(z) <= bound / 4.0
 
 
 def test_hermite_zeros_container_validation():

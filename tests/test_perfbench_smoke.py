@@ -23,3 +23,13 @@ def test_traced_sweep_grid_run_is_correct():
     assert r.returncode == 0, r.stderr
     last = json.loads(r.stdout.strip().splitlines()[-1])
     assert last["correct"] is True and last["failed"] == 0, last
+
+
+def test_perfbench_selftest_passes():
+    # The selftest feeds each benchmark check a wrong answer and requires
+    # it to be caught, so a package change that blinds a check fails here.
+    r = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert r.returncode == 0, r.stdout + r.stderr
