@@ -1,7 +1,17 @@
 """Batched eigenvalues of symmetric tridiagonal matrices.
 
-Two paths, chosen per row from the row itself:
+Three paths, chosen by n and, for 3 <= n <= ``_FROZEN_MAX_N``, by a gate
+that reads each row: every n = 2 row takes the closed form; a row that
+passes the gate takes frozen Newton; every other row is solved dense.
 
+* **Closed form (n = 2).**  The eigenvalues of [[d0, e0], [e0, d1]] are
+  m +- r with m = d0/2 + d1/2 and r = hypot(d0/2 - d1/2, e0): the diagonal
+  is halved first, so nothing overflows that the eigenvalues do not.  Each
+  eigenvalue is within 4 eps max|lambda| of the exact one (four rounded
+  operations and a hypot within one ulp, on terms no larger than
+  max|lambda|; a subnormal diagonal adds its halving's rounding, about
+  1e-323).  A row with a non-finite result (a non-finite entry, or an
+  eigenvalue beyond the float range) goes to the dense path.
 * **Frozen Newton.**  In the ensemble's matrix the off-diagonal is
   e_i ~ sqrt(k (n-i)) and the eigenvalues sit at sqrt(2k) z (z the Hermite
   zeros) plus O(1).  A row whose scale estimate s = mean_i e_i / sqrt(n-i)
@@ -19,7 +29,10 @@ Two paths, chosen per row from the row itself:
   n roots at once in O(n^2) work per matrix.
 * **Dense.**  Every other row is densified into a (batch, n, n) stack and
   solved by the batched LAPACK symmetric eigensolver, in blocks of at most
-  ``_DENSE_BUDGET`` = ``errors.MAX_N``^2 elements.
+  ``_DENSE_BUDGET`` = ``errors.MAX_N``^2 elements.  A row with a NaN or
+  infinite entry raises ConvergenceFailure before LAPACK sees it: LAPACK
+  does not reliably report one (a 2 x 2 with a NaN diagonal entry comes
+  back finite, an infinite off-diagonal as NaN).
 
 The gate reads e alone, before any copy; a batch in which no row passes it
 goes to the dense path whole.
@@ -51,9 +64,10 @@ wrong guess only sends the row to the dense path.  Once at most half of a
 block's working columns still step, they are gathered, and later steps
 run on them alone.
 
-Each row's result depends on that row alone: the Newton path uses only
-elementwise array operations (no BLAS, whose summation order may depend on
-the batch) and stops each row on its own test.
+Each row's result depends on that row alone: the closed form and the
+Newton path use only elementwise array operations (no BLAS, whose
+summation order may depend on the batch), and Newton stops each row on
+its own test.
 """
 
 from __future__ import annotations
@@ -63,7 +77,7 @@ import numpy as np
 from .errors import MAX_N, ConvergenceFailure, InvalidConfig
 
 #: The eigensolver paths, for run reports (the benchmark manifest reads it).
-BACKEND = "frozen-newton+dense-eigvalsh"
+BACKEND = "closed-form-n2+frozen-newton+dense-eigvalsh"
 
 #: Cap on batch * n * n elements densified at once: one matrix at MAX_N.
 _DENSE_BUDGET = MAX_N * MAX_N
@@ -105,15 +119,17 @@ def eigvals_batch(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Descending eigenvalues for a batch of symmetric tridiagonal matrices.
 
     d: (batch, n) diagonals; e: (batch, n-1) off-diagonals.  Raises
-    ConvergenceFailure if LAPACK fails to converge on a row that the Newton
-    path did not certify.
+    ConvergenceFailure if a row that reaches the dense path has a
+    non-finite entry or LAPACK fails to converge on it.
     """
     d = np.atleast_2d(np.asarray(d, dtype=float))
     e = np.atleast_2d(np.asarray(e, dtype=float))
     batch, n = d.shape
     if n >= 2 and e.shape[1] != n - 1:
         raise InvalidConfig("off-diagonal must have n-1 columns")
-    if not 2 <= n <= _FROZEN_MAX_N:
+    if n == 2:
+        return _closed_form(d, e)
+    if not 3 <= n <= _FROZEN_MAX_N:
         return _dense(d, e)
     frozen = _frozen_gate(e)
     if not frozen.any():
@@ -127,8 +143,26 @@ def eigvals_batch(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     return out
 
 
+def _closed_form(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Descending eigenvalues of 2 x 2 rows: m + r and m - r."""
+    out = np.empty(d.shape)
+    with np.errstate(all="ignore"):  # non-finite rows are redone below
+        a = d[:, 0] * 0.5
+        b = d[:, 1] * 0.5
+        m = a + b
+        r = np.hypot(np.subtract(a, b, out=a), e[:, 0], out=a)
+        np.add(m, r, out=out[:, 0])
+        np.subtract(m, r, out=out[:, 1])
+    if not np.isfinite(out).all():
+        bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+        out[bad] = _dense(d[bad], e[bad])
+    return out
+
+
 def _dense(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Descending eigenvalues by batched dense ``eigvalsh``."""
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise ConvergenceFailure("eigensolver input has a NaN or inf entry")
     batch, n = d.shape
     out = np.empty((batch, n))
     step = max(1, _DENSE_BUDGET // (n * n))

@@ -16,8 +16,9 @@ numerical failure (non-convergence, degenerate input, failed factorization,
 violated validity condition, or a failed ``verify`` check).
 
 When ``--seed`` is omitted the seed comes from the ``BETAFREEZE_SEED``
-environment variable, falling back to 0.  All output is deterministic for a
-fixed configuration and seed: no timestamps, no machine-dependent content.
+environment variable, falling back to 0; a seed must be >= 0.  All output
+is deterministic for a fixed configuration and seed: no timestamps, no
+machine-dependent content.
 """
 
 from __future__ import annotations
@@ -34,7 +35,9 @@ import numpy as np
 from . import bounds as _bounds
 from . import experiment as _experiment
 from . import sampler as _sampler
-from .errors import BetafreezeError, InvalidConfig, check_size, check_trials
+from .errors import (
+    BetafreezeError, InvalidConfig, check_seed, check_size, check_trials,
+)
 from .experiment import ExperimentConfig, format_float
 from .hermite_core import (
     compute_zeros,
@@ -62,6 +65,14 @@ def _result_stream(out: str | None):
     except BaseException:
         os.remove(out)
         raise
+
+
+def _seed(args: argparse.Namespace) -> int:
+    """The run's seed: ``--seed``, else the ``BETAFREEZE_SEED`` default."""
+    if args.seed is None:
+        return default_seed()
+    check_seed(args.seed)
+    return args.seed
 
 
 def _json_dumps(obj) -> str:
@@ -163,7 +174,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     # Each chunk is written as soon as it is drawn, so memory does not grow
     # with trials; the header waits for the first draw, which validates n
     # and k, so rejected input prints nothing.
-    seed = default_seed() if args.seed is None else args.seed
+    seed = _seed(args)
     rng = worker_streams(seed, 1)[0]
     trial = 0
     for m in _experiment.chunk_sizes(args.trials):
@@ -237,7 +248,7 @@ def cmd_tail(args: argparse.Namespace) -> int:
     # line it is a mistake.
     if args.eps is not None and not math.isfinite(args.eps):
         raise InvalidConfig(f"eps must be finite, got {args.eps}")
-    seed = default_seed() if args.seed is None else args.seed
+    seed = _seed(args)
     cfg = ExperimentConfig(
         n=args.n, k=args.k, trials=args.trials, seed=seed,
         eps=args.eps, c=args.c, workers=args.workers,
@@ -279,7 +290,7 @@ def _tail_row(args: argparse.Namespace, eps: float, seed: int, est) -> str:
 # ----------------------------------------------------------------------
 
 def cmd_clt(args: argparse.Namespace) -> int:
-    seed = default_seed() if args.seed is None else args.seed
+    seed = _seed(args)
     cfg = ExperimentConfig(n=args.n, k=args.k, trials=args.trials, seed=seed)
     cfg.validate()
     with _result_stream(args.out) as stream:
@@ -335,6 +346,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ns = [_config_int(v, "n") for v in raw["n"]]
     trials = _config_int(raw["trials"], "trials")
     seed = _config_int(raw["seed"], "seed") if "seed" in raw else default_seed()
+    check_seed(seed)
     workers = _config_int(raw.get("workers", 1), "workers")
     try:
         ks = [float(v) for v in raw["k"]]

@@ -49,6 +49,12 @@ def check_trials(trials: int) -> None:
         raise InvalidConfig(f"trials must be >= 1, got {trials}")
 
 
+def check_seed(seed: int) -> None:
+    """A random seed: an integer >= 0, as NumPy's SeedSequence requires."""
+    if not seed >= 0:
+        raise InvalidConfig(f"seed must be >= 0, got {seed}")
+
+
 def check_threshold(x: float, name: str = "eps") -> None:
     """A tail threshold or its coefficient: positive and finite."""
     if not (x > 0.0 and math.isfinite(x)):
@@ -87,5 +93,6 @@ __all__ = [
     "check_size",
     "check_k",
     "check_trials",
+    "check_seed",
     "check_threshold",
 ]

@@ -13,6 +13,8 @@ import os
 
 import numpy as np
 
+from .errors import InvalidConfig, check_seed
+
 #: Environment variable consulted by the CLI for a default seed.
 SEED_ENV_VAR = "BETAFREEZE_SEED"
 
@@ -26,13 +28,13 @@ def default_seed() -> int:
     if raw is None:
         return FALLBACK_SEED
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError as exc:
-        from .errors import InvalidConfig
-
         raise InvalidConfig(
             f"{SEED_ENV_VAR} must be an integer, got {raw!r}"
         ) from exc
+    check_seed(seed)
+    return seed
 
 
 def master_stream(seed: int) -> np.random.Generator:

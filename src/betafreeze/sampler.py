@@ -52,6 +52,9 @@ def sample_chi(rng: np.random.Generator, df, size=None):
     an array, in which case it broadcasts against ``size``.
     """
     df = _checked_dof(df)
+    if size is not None and df.size == 1:
+        # NumPy's scalar-shape loop draws the same stream, faster.
+        df = df.reshape(())
     out = rng.gamma(df / 2.0, 2.0, size=size)
     if size is None and np.ndim(out) == 0:
         return math.sqrt(out)

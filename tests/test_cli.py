@@ -270,6 +270,28 @@ def test_sweep_out_must_be_a_path(out, tmp_path, capsys):
     assert "config key 'out' must be a file path" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["tail", "--n", "2", "--k", "1e4", "--c", "1", "--norm", "l2",
+     "--trials", "10", "--seed", "-1"],
+    ["sample", "--n", "2", "--k", "1", "--trials", "1", "--seed", "-1"],
+    ["clt", "--n", "3", "--k", "1e4", "--trials", "10", "--seed", "-1"],
+    ["sweep"],
+    ["env"],
+])
+def test_negative_seed_rejected(argv, tmp_path, monkeypatch, capsys):
+    # Each ended in SeedSequence's ValueError traceback, exit 1.
+    if argv == ["sweep"]:
+        argv = ["sweep", "--config", _sweep_config(
+            str(tmp_path / "grid.json"), 2, 1e4, 1.0, 10, seed=-1)]
+    elif argv == ["env"]:
+        monkeypatch.setenv("BETAFREEZE_SEED", "-1")
+        argv = ["sample", "--n", "2", "--k", "1", "--trials", "1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "seed must be >= 0, got -1" in captured.err
+
+
 def test_seed_env_garbage_rejected():
     r = run_cli("sample", "--n", "2", "--k", "1", "--trials", "1",
                 env_extra={"BETAFREEZE_SEED": "not-a-number"})
@@ -367,9 +389,12 @@ def test_size_cap_fits_one_dense_matrix():
     assert MAX_N * MAX_N <= _core._DENSE_BUDGET < (MAX_N + 1) ** 2
 
 
-def _sweep_config(path, n, k, c, trials) -> str:
+def _sweep_config(path, n, k, c, trials, seed=None) -> str:
+    cfg = {"n": [n], "k": [k], "c": [c], "trials": trials}
+    if seed is not None:
+        cfg["seed"] = seed
     with open(path, "w") as handle:
-        json.dump({"n": [n], "k": [k], "c": [c], "trials": trials}, handle)
+        json.dump(cfg, handle)
     return path
 
 
@@ -454,34 +479,39 @@ def test_failed_run_leaves_no_out_file(argv, tmp_path, monkeypatch):
 
 
 #: n at the edges of its domain; log-uniform k, eps and c, plus the values
-#: outside every domain.
+#: outside every domain; seeds of any sign and size, or none.
 EDGE_SIZES = st.sampled_from([-1, 0, 1, 2, 3, MAX_N, MAX_N + 1, 10**30])
 EDGE_REALS = st.one_of(
     st.floats(-150.0, 150.0).map(lambda x: 10.0 ** x),
     st.sampled_from([0.0, -1.0, -math.inf, math.inf, math.nan]),
 )
+EDGE_SEEDS = st.one_of(st.none(), st.integers(-(2**70), 2**70))
 
 
 @settings(max_examples=60, deadline=None)
 @given(command=st.sampled_from(["zeros", "verify", "sample", "tail", "clt",
                                 "sweep"]),
        n=EDGE_SIZES, k=EDGE_REALS, threshold=EDGE_REALS, use_c=st.booleans(),
-       trials=st.integers(-1, 50))
-def test_commands_exit_only_0_2_or_3(command, n, k, threshold, use_c, trials):
+       trials=st.integers(-1, 50), seed=EDGE_SEEDS)
+def test_commands_exit_only_0_2_or_3(command, n, k, threshold, use_c, trials,
+                                     seed):
     if n == MAX_N:
         trials = min(trials, 1)  # one dense 2000 x 2000 solve per trial
     flag = "--c" if use_c else "--eps"
+    seeded = [] if seed is None else [f"--seed={seed}"]
     with tempfile.TemporaryDirectory() as tmp:
         argv = {
             "zeros": ["zeros", f"--n={n}"],
             "verify": ["verify", f"--n={n}"],
             "sample": ["sample", f"--n={n}", f"--k={k!r}",
-                       f"--trials={trials}"],
+                       f"--trials={trials}", *seeded],
             "tail": ["tail", f"--n={n}", f"--k={k!r}", f"{flag}={threshold!r}",
-                     "--norm", "l2" if use_c else "sup", f"--trials={trials}"],
-            "clt": ["clt", f"--n={n}", f"--k={k!r}", f"--trials={trials}"],
+                     "--norm", "l2" if use_c else "sup", f"--trials={trials}",
+                     *seeded],
+            "clt": ["clt", f"--n={n}", f"--k={k!r}", f"--trials={trials}",
+                    *seeded],
             "sweep": ["sweep", "--config", _sweep_config(
-                os.path.join(tmp, "grid.json"), n, k, threshold, trials)],
+                os.path.join(tmp, "grid.json"), n, k, threshold, trials, seed)],
         }[command]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -31,6 +31,7 @@ def test_config_validation():
         bf.ExperimentConfig(n=3, k=10.0, trials=100, seed=1, eps=0.5, workers=0),
         bf.ExperimentConfig(n=3, k=10.0, trials=100, seed=1, eps=0.5,
                             confidence=1.0),
+        bf.ExperimentConfig(n=3, k=10.0, trials=100, seed=-1, eps=0.5),
     ):
         with pytest.raises(InvalidConfig):
             bad.validate()
@@ -417,6 +418,7 @@ def test_sweep_partial_flush_on_failure(tmp_path):
 
 @pytest.mark.parametrize("settings", [
     {"trials": 0}, {"workers": 0}, {"confidence": 0.0}, {"confidence": 1.0},
+    {"seed": -1},
 ])
 def test_sweep_settings_checked_before_out_is_opened(settings, tmp_path):
     out = tmp_path / "sweep.csv"
@@ -424,6 +426,16 @@ def test_sweep_settings_checked_before_out_is_opened(settings, tmp_path):
     with pytest.raises(InvalidConfig):
         bf.sweep([2], [100.0], [1.0], **kwargs)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("n", (2, 3, 5, 7, 8, 32))
+def test_norms_match_axis_reductions_bit_for_bit(n):
+    # Narrow rows are reduced column by column; the bits must be those of
+    # the axis reductions, which the tail counts were defined with.
+    ys = np.random.default_rng(n).standard_normal((4099, n)) * 10.0 ** np.arange(n)
+    ys[3, 0] = np.nan
+    np.testing.assert_array_equal(experiment._l2(ys), np.sqrt(np.sum(ys * ys, axis=1)))
+    np.testing.assert_array_equal(experiment._sup(ys), np.max(np.abs(ys), axis=1))
 
 
 def test_sweep_writes_file_and_returns_same_text(tmp_path):

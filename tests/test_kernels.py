@@ -133,7 +133,7 @@ def test_frozen_path_against_reference(n, k):
     assert np.all(np.abs(got - want) <= 1e-13 * scale)
 
 
-@pytest.mark.parametrize("n", (2, 3, 5, 8, 32))
+@pytest.mark.parametrize("n", (3, 5, 8, 32))
 def test_frozen_regime_never_falls_back(n):
     # Every row at k >= 1e3 passes the gate and is certified by Newton,
     # without a warning.
@@ -281,8 +281,9 @@ def test_radius_needs_gap_above_n_steps(monkeypatch):
     # n = 2, d = (c + 9, c - 9), e = 12: eigenvalues c +- 15.  A start at
     # c +- 30 (two roots a hair apart, 2e-13 relative) stops after one
     # step at c +- 18.75 with S = 11.25 and D = 18.75 <= n S = 22.5, so no
-    # radius follows and the row must come from the dense path, though
-    # (n-1) S^2 / D alone would be small enough.
+    # radius follows and the row is rejected, though (n-1) S^2 / D alone
+    # would be small enough.  eigvals_batch solves n = 2 in closed form, so
+    # the rejection is checked on the Newton path itself.
     c = 2.0 ** 48
     d = np.array([[c + 9.0, c - 9.0]])
     e = np.array([[12.0]])
@@ -295,7 +296,9 @@ def test_radius_needs_gap_above_n_steps(monkeypatch):
     assert not ok.any()
     assert _frozen_gate(e).all()
     monkeypatch.setattr(sampler, "first_order_map", lambda m: start)
-    np.testing.assert_array_equal(eigvals_batch(d, e), _dense(d, e))
+    with np.errstate(divide="ignore"):
+        accepted = _frozen_rows(d, e, range(1), np.empty(d.shape))
+    assert not accepted.any()
 
 
 def _count_column_steps(monkeypatch):
@@ -340,3 +343,116 @@ def test_compaction_keeps_rows_independent(monkeypatch):
     for block in (1024, 4096):
         monkeypatch.setattr(_core, "_BLOCK_ELEMENTS", block)
         np.testing.assert_array_equal(eigvals_batch(d, e), whole)
+
+
+# ----------------------------------------------------------------------
+# n = 2: the closed form
+# ----------------------------------------------------------------------
+
+def _exact_two_by_two(d, e):
+    """Descending eigenvalues of each 2 x 2 row, at 40 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        rows = []
+        for (a, b), (c,) in zip(d.tolist(), e.tolist()):
+            m = (mp.mpf(a) + mp.mpf(b)) / 2
+            r = mp.sqrt(((mp.mpf(a) - mp.mpf(b)) / 2) ** 2 + mp.mpf(c) ** 2)
+            rows.append([m + r, m - r])
+        return rows
+
+
+def _assert_within_4_eps(got, d, e):
+    mp = pytest.importorskip("mpmath")
+    for row, want in zip(got, _exact_two_by_two(d, e)):
+        scale = max(abs(w) for w in want)
+        for g, w in zip(row, want):
+            assert abs(mp.mpf(float(g)) - w) <= 4 * _core._EPS * scale, (row, want)
+
+
+@pytest.mark.parametrize("k", (1.0, 5.0, 30.0, 1e4, 1e8))
+def test_two_by_two_within_4_eps_of_exact(k, monkeypatch):
+    # Ensemble rows on both sides of the Newton gate take the closed form
+    # alone: neither Newton nor LAPACK is called.
+    def other_path(*args):
+        raise AssertionError("a finite n = 2 row left the closed form")
+
+    monkeypatch.setattr(_core, "_frozen_rows", other_path)
+    monkeypatch.setattr(_core, "_dense", other_path)
+    d, e = _ensemble_rows(2, k, 400)
+    _assert_within_4_eps(eigvals_batch(d, e), d, e)
+
+
+def test_two_by_two_adversarial_within_4_eps():
+    c = 2.0 ** 48
+    d = np.array([
+        [0.0, 0.0], [3.0, -1.0], [-1.0, 3.0], [1.0, 1.0], [1.0, 1.0 + 1e-15],
+        [c + 9.0, c - 9.0], [c, c], [-c, -c], [1e8, -1e8], [1e-8, 1e8],
+        [0.0, 0.0], [5.0, 5.0],
+    ])
+    e = np.array([
+        [1.0], [0.0], [0.0], [1e-14], [1e-16], [12.0], [1e-3], [1e-3],
+        [1e4], [1e-4], [-2.0], [-1e-300],
+    ])
+    got = eigvals_batch(d, e)
+    assert np.all(got[:, 0] >= got[:, 1])
+    _assert_within_4_eps(got, d, e)
+
+
+def test_two_by_two_rows_descending_and_independent():
+    d, e = _ensemble_rows(2, 1e4, 3000)
+    d[::7], e[::7] = _ensemble_rows(2, 5.0, 429, seed=12)
+    whole = eigvals_batch(d, e)
+    assert np.all(whole[:, 0] >= whole[:, 1])
+    for row in (0, 7, 1500, 2999):
+        single = eigvals_batch(d[row : row + 1], e[row : row + 1])
+        np.testing.assert_array_equal(whole[row], single[0])
+    np.testing.assert_array_equal(whole[100:900], eigvals_batch(d[100:900], e[100:900]))
+
+
+@pytest.mark.parametrize("value", (np.nan, np.inf, -np.inf))
+@pytest.mark.parametrize("entry", ("d0", "d1", "e0"))
+def test_two_by_two_nonfinite_entry_is_convergence_failure(entry, value):
+    # LAPACK takes a 2 x 2 with a NaN diagonal entry without complaint
+    # (d = (NaN, 0), e = 1 came back as +-sqrt(2)); the row must raise.
+    d, e = _ensemble_rows(2, 1e4, 50)
+    if entry == "e0":
+        e[7, 0] = value
+    else:
+        d[7, int(entry[1])] = value
+    with pytest.raises(ConvergenceFailure):
+        eigvals_batch(d, e)
+
+
+def test_two_by_two_extreme_scales_do_not_overflow(monkeypatch):
+    # d0 + d1, d0 - d1 and (d0 - d1)^2 overflow here, the eigenvalues do
+    # not, so the closed form solves every row without the dense path.
+    big = 1e308
+    d = np.array([[big, -big], [1.7e308, 1.7e308], [-1.7e308, -1.7e308],
+                  [big, big], [-big, big]])
+    e = np.array([[big], [1e300], [1e300], [0.0], [1.0]])
+    dense = _dense
+
+    def dense_called(*args):
+        raise AssertionError("a representable n = 2 row reached the dense path")
+
+    monkeypatch.setattr(_core, "_dense", dense_called)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = eigvals_batch(d, e)
+    assert np.all(np.isfinite(got))
+    _assert_within_4_eps(got, d, e)
+    # An eigenvalue beyond the float range is left to the dense path.
+    monkeypatch.setattr(_core, "_dense", dense)
+    d, e = np.array([[big, big]]), np.array([[big]])
+    np.testing.assert_array_equal(eigvals_batch(d, e), _dense(d, e))
+
+
+@pytest.mark.parametrize("n", (3, 8))
+@pytest.mark.parametrize("where", ("diagonal", "off-diagonal"))
+def test_infinite_entry_is_convergence_failure(n, where):
+    # LAPACK returned NaN eigenvalues for an infinite off-diagonal entry
+    # instead of failing.
+    d, e = _ensemble_rows(n, 5.0, 20)
+    (d if where == "diagonal" else e)[3, 1] = np.inf
+    with pytest.raises(ConvergenceFailure):
+        eigvals_batch(d, e)

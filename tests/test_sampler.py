@@ -10,6 +10,7 @@ import scipy.stats
 import betafreeze as bf
 from betafreeze._core import eigvals_batch
 from betafreeze.errors import InvalidConfig
+from betafreeze.rng import master_stream
 from betafreeze.sampler import _log_target
 
 
@@ -39,6 +40,14 @@ def test_chi_scalar_and_shapes(rng):
         bf.sample_chi(rng, 0.0)
     with pytest.raises(InvalidConfig):
         bf.sample_chi(rng, -1.0)
+
+
+def test_chi_one_element_dof_draws_the_array_stream():
+    # A one-element df (the n = 2 off-diagonal) is drawn with NumPy's
+    # scalar-shape loop; the draws must be those of the array form.
+    got = bf.sample_chi(master_stream(3), np.array([2e4]), size=(5000, 1))
+    want = np.sqrt(master_stream(3).gamma(np.array([1e4]), 2.0, size=(5000, 1)))
+    np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("df", [math.nan, math.inf, [4.0, math.inf]])
