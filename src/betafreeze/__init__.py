@@ -12,8 +12,9 @@ This package provides:
 - reproducible Monte Carlo experiments and sweeps (experiment)
 
 Eigenvalues of the tridiagonal model come from ``betafreeze._core.eigvals_batch``:
-certified Newton refinement of the first-order term in the frozen regime,
-batched dense LAPACK ``eigvalsh`` for every other row.
+the exact 2 x 2 formula at N = 2, certified Newton refinement of the
+first-order term in the frozen regime, and batched dense LAPACK ``eigvalsh``
+for every other row.
 """
 
 from .bounds import (

@@ -40,48 +40,36 @@ goes to the dense path whole.
 A Newton row is returned only with a certificate; otherwise it goes to the
 dense path.  Let y be the roots before the last step, s = f/f' at y, the
 result x = y - s, S = max|s| and D half the smallest gap x_j - x_{j+1}.
-The row is accepted when the radius
+The row is accepted when
 
-    r = (n-1) S^2 / (D - n S) + eps max|x|,   with D > n S,
+    D > (n+1) S + 3 eps max|x|   and
+    r = (n-1) S^2 / (D - n S) + eps max|x| <= ``_NEWTON_TOL`` max|x|.
 
-is at most ``_NEWTON_TOL`` max|x|, every disc of radius r lies inside its
-bracket (between the midpoints of x around x_j), and every eigenvalue
-other than lambda_j is at least D from x_j, for every j.  Why r then
-bounds |x_j - lambda_j|: every other eigenvalue is at least D - S from
-y_j, so f'/f(y_j) = 1/(y_j - lambda_j) + R with |R| <= (n-1)/(D - S), and
-solving 1/s_j = 1/(y_j - lambda_j) + R gives x_j - lambda_j =
-R s_j^2 / (1 - R s_j), at most (n-1) S^2 / (D - n S); eps max|x| covers
-rounding x_j.  Up to rounding in the recurrences, accepted roots are then
-within ``_NEWTON_TOL`` max|x| of the eigenvalues.  The step that finds a
-root thus also certifies it, where a radius of n S from f'/f alone needed
-one more step.  The separation is shown in one of two ways:
+The last step shows both halves of the certificate:
 
-* **Weyl bracket, O(n) per matrix.**  Write T = s T0 + G with s the
-  gate's scale estimate (any value would do): s T0 has zero diagonal,
-  off-diagonal s sqrt(n-i) and eigenvalues c = sqrt(2) s z.  By Weyl's
-  inequality lambda_j is within ||G||_2 of c_j, and Gershgorin bounds
-  ||G||_2 by rho = max_i |d_i| + |delta_{i-1}| + |delta_i|, with
-  delta_i = e_i - s sqrt(n-i).  With eta = max_j |x_j - c_j| and
-  g_c = s sqrt(2) min gap(z), every lambda_i, i != j, is then at least
-  g_c - eta - rho from x_j, so g_c - eta - rho >= D settles it.
-  Rounding: s is used as computed and carries no error; delta, the row
-  sums, eta, g_c and the differences are each a fixed number of roundings
-  of terms at most c_1 + rho (where the test passes, eta, D <= g_c <= 2 c_1,
-  c_1 = sqrt(2) s z_1), and the cached zeros are within eps z_1 / 2 of the
-  exact ones (checked at 40 digits for n = 2..64 and every 7th n up to
-  256).  Together these move the slack g_c - eta - rho - D by less than
-  13 eps c_1 + 4 eps rho, whatever n, so the test asks for a slack of at
-  least 16 eps (c_1 + rho).
-* **Sturm counts, O(n^2) per matrix,** run only on the rows whose Weyl
-  bracket fails: the counts at the n-1 midpoints of x must show exactly
-  one eigenvalue in each bracket with no zero pivot (a zero or NaN pivot
-  fails), which puts every other eigenvalue outside x_j's bracket.  With
-  the disc check, a row that passes the Weyl bracket has each eigenvalue
-  in its own bracket, so it passes the counts too: the accepted rows, and
-  the results, are those of the counts alone.  In the ensemble the counts
-  run where the gaps g_c are narrow against rho, at small k and large n:
-  on some rows at k <= 100 for n >= 8, k = 300 for n >= 16 and k = 1e3
-  for n >= 64 (every row at n = 256), never at k >= 1e3 for n <= 32.
+* **Separation.**  f'/f(y) = sum_i 1/(y - lambda_i) is at most
+  n / min_i |y - lambda_i| in size, so some eigenvalue lies within n |s_j|
+  of y_j, and so within (n+1) S of x_j.  If D > (n+1) S these n discs are
+  pairwise disjoint, so each holds exactly one of the n eigenvalues, and
+  as x is descending (D > 0) the one near x_j is lambda_j.  Every other
+  eigenvalue lambda_i is then at least 2D - (n+1) S > D from x_j.
+* **Radius.**  Every other eigenvalue is then at least D - S from y_j, so
+  f'/f(y_j) = 1/(y_j - lambda_j) + R with |R| <= (n-1)/(D - S), and solving
+  1/s_j = 1/(y_j - lambda_j) + R gives x_j - lambda_j = R s_j^2 / (1 - R s_j),
+  at most (n-1) S^2 / (D - n S); eps max|x| covers rounding x_j.  Accepted
+  roots are thus within ``_NEWTON_TOL`` max|x| of the eigenvalues.  The
+  step that finds a root also certifies it, where the radius (n+1) S from
+  f'/f alone needed one more step.
+
+Both halves take f'/f(y) as the pivot recurrence computed it.  The margin
+3 eps max|x| covers the rest of the arithmetic, with u = eps/2 the unit
+roundoff: s = fl(1 / (f'/f)) puts the disc radius n / |f'/f| within
+n S (1 + u), which exceeds n S by less than u D <= u max|x| where the test
+passes; x = fl(y - s) is within u max|x| of y - s; the computed gaps are
+each within u of the exact gaps of x in relative terms, so D is off by at
+most u max|x| (D <= max|x|); and (n+1) S + 3 eps max|x| is formed with a
+relative error of at most 2u, so off by less than 2u D.  That is
+5u = 2.5 eps times max|x| in all, whatever n, plus terms of order eps^2.
 
 Each column stops stepping once S <= sqrt(tol max|x0| D0 / (n-1)) / 2,
 with tol = ``_NEWTON_TOL`` and x0, D0 from the start, so that r is about
@@ -97,8 +85,6 @@ its own test.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -212,26 +198,17 @@ def _dense(d: np.ndarray, e: np.ndarray) -> np.ndarray:
 def _frozen_gate(e: np.ndarray) -> np.ndarray:
     """Mask of the rows whose scale estimate s has s^2 >= _FROZEN_MIN_K.
 
-    s = mean_i e_i / sqrt(n-i), from the off-diagonal alone.  A NaN entry
-    gives a NaN s, which fails the gate.
+    s = mean_i e_i / sqrt(n-i), from the off-diagonal alone.  The sum runs
+    entry by entry, so that a row's s does not depend on the batch.  A NaN
+    entry gives a NaN s, which fails the gate.
     """
     n = e.shape[1] + 1
+    sqrt_dof = np.sqrt(np.arange(n - 1, 0, -1, dtype=float))
     with np.errstate(all="ignore"):
-        return _scale_sum(e.T) >= (n - 1) * np.sqrt(_FROZEN_MIN_K)
-
-
-def _scale_sum(e, out=None):
-    """sum_i e_i / sqrt(n-i), (n-1) times the scale estimate s.
-
-    e holds the off-diagonal entries e_1 .. e_{n-1} of one matrix per
-    column.  The sum runs entry by entry, so that a matrix's s does not
-    depend on the batch.
-    """
-    sqrt_dof = np.sqrt(np.arange(len(e), 0, -1, dtype=float))
-    total = np.divide(e[0], sqrt_dof[0], out=out)
-    for i in range(1, len(e)):
-        total += e[i] / sqrt_dof[i]
-    return total
+        total = e[:, 0] / sqrt_dof[0]
+        for i in range(1, n - 1):
+            total += e[:, i] / sqrt_dof[i]
+        return total >= (n - 1) * np.sqrt(_FROZEN_MIN_K)
 
 
 def _frozen_rows(
@@ -275,8 +252,6 @@ def _certified_newton(g, a):
     """
     n, m = a.shape[0], g.shape[1]
     x, tmp, p, step = (np.empty((n, m)) for _ in range(4))
-    scale, rho = np.empty((2, m))
-    _perturbation_norm(g, scale, rho, tmp, p)  # reads e before it is squared
     _warm_start(g, a, x, tmp, p)
     dt, e2 = g[:n], g[n:]
     e2 *= e2  # g's off-diagonal is not read again
@@ -328,85 +303,33 @@ def _certified_newton(g, a):
                           for b in (tmp, p, step))
     if cols is not None:
         x[:, cols], last[cols] = xw, lw
-    del xw, dw, ew, tw, pw, sw, p, step  # freed for the bracket checks
+    return x, _certified(x, last, tmp)
 
-    # The radius r = (n-1) S^2 / (D - n S) + eps max|x|, S the last step
-    # and D half the smallest gap of the result; D <= n S gives inf (NaN
-    # if S = 0), which no test passes.
-    _size_and_gap(x, tmp, size, gap)
-    half_gap = np.multiply(gap, 0.5, out=gap)
-    r = np.multiply(last, -n, out=smax)
+
+def _certified(x, step, w):
+    """Accept mask of the columns of x (n, m) whose last Newton step had
+    size S = step (m,): D > (n+1) S + 3 eps max|x| and the radius
+    r = (n-1) S^2 / (D - n S) + eps max|x| <= _NEWTON_TOL max|x| (module
+    docstring).  The separation fails where x is not descending or S is
+    NaN; where it holds, D > n S and r is finite.  Overwrites step; w is
+    an (n, m) work array.
+    """
+    n = x.shape[0]
+    size, half_gap, r = np.empty((3, x.shape[1]))
+    _size_and_gap(x, w, size, half_gap)
+    half_gap *= 0.5
+    np.multiply(size, 3 * _EPS, out=r)
+    r += (n + 1) * step
+    ok = half_gap > r
+    np.multiply(step, -n, out=r)
     r += half_gap
-    np.maximum(r, 0.0, out=r)
-    last *= last
-    last *= n - 1
-    np.divide(last, r, out=r)
-    r += np.multiply(size, _EPS, out=last)
+    step *= step
+    step *= n - 1
+    np.divide(step, r, out=r)
+    r += np.multiply(size, _EPS, out=step)
     size *= _NEWTON_TOL
-    ok = np.less_equal(r, size, out=flags)
-    ok &= r < half_gap  # every disc inside its bracket
-    # The Sturm counts run only where the Weyl bracket does not hold.
-    open_ = np.flatnonzero(ok & ~_weyl_separated(x, scale, rho, half_gap, tmp))
-    if open_.size:
-        ok[open_] = _brackets_hold(
-            x[:, open_], r[open_], dt[:, open_], e2[:, open_]
-        )
-    return x, ok
-
-
-@functools.lru_cache(maxsize=32)
-def _scaled_zeros(n: int) -> tuple[np.ndarray, float]:
-    """sqrt(2) z, the eigenvalues of T0 (read-only), and their smallest gap."""
-    from .hermite_core import compute_zeros  # imports scipy.linalg
-
-    w = np.sqrt(2.0) * compute_zeros(n).zeros
-    w.setflags(write=False)
-    return w, float(np.min(w[:-1] - w[1:]))
-
-
-def _perturbation_norm(g, scale, rho, w, t):
-    """The scale estimate s of the gate into scale, and into rho the
-    Gershgorin bound max_i |d_i| + |delta_{i-1}| + |delta_i| on
-    ||T - s T0||_2, with delta_i = e_i - s sqrt(n-i), per column of g.
-
-    w and t are (n, m) work arrays.
-    """
-    n = w.shape[0]
-    e, delta = g[n:], w[: n - 1]
-    _scale_sum(e, out=scale)
-    scale /= n - 1
-    sqrt_dof = np.sqrt(np.arange(n - 1, 0, -1, dtype=float))[:, None]
-    np.multiply(sqrt_dof, scale, out=delta)
-    np.subtract(e, delta, out=delta)
-    np.abs(delta, out=delta)
-    rows = np.abs(g[:n], out=t)
-    rows[:-1] += delta
-    rows[1:] += delta
-    np.max(rows, axis=0, out=rho)
-
-
-def _weyl_separated(x, scale, rho, half_gap, w):
-    """Whether every eigenvalue other than the j-th is at least half_gap
-    from x_j, for every j, by Weyl's inequality (module docstring).
-
-    The eigenvalues of s T0 are c = sqrt(2) s z, so lambda_j is within rho
-    of c_j; with eta = max_j |x_j - c_j| and g_c = s sqrt(2) min gap(z),
-    every other eigenvalue is at least g_c - eta - rho from x_j.  w is an
-    (n, m) work array.
-    """
-    roots, min_gap = _scaled_zeros(x.shape[0])
-    eta = np.multiply(roots[:, None], scale, out=w)
-    eta -= x
-    np.abs(eta, out=eta)
-    slack = scale * min_gap
-    slack -= np.max(eta, axis=0)
-    slack -= rho
-    slack -= half_gap
-    # Rounding margin: 16 eps (c_1 + rho), c_1 = sqrt(2) s z_1.
-    margin = scale * roots[0]
-    margin += rho
-    margin *= 16 * _EPS
-    return slack >= margin
+    ok &= r <= size
+    return ok
 
 
 def _warm_start(g, a, x, w, q):
@@ -436,37 +359,6 @@ def _size_and_gap(x, w, size, gap):
     np.maximum(size, x[0], out=size)
     np.subtract(x[:-1], x[1:], out=w[:-1])
     np.min(w[:-1], axis=0, out=gap)
-
-
-def _brackets_hold(x, radius, dt, e2):
-    """Whether each column's roots x, within radius, are its eigenvalues.
-
-    True where the Sturm counts at the midpoints between neighbouring roots
-    show exactly one eigenvalue in each bracket, no pivot is zero or
-    non-finite, and every root's disc lies inside its bracket.
-    """
-    n = x.shape[0]
-    mid = x[:-1] - x[1:]  # the gaps, until halved below
-    ok = 2.0 * radius < np.min(mid, axis=0)
-    mid *= 0.5
-    mid += x[1:]
-    q = dt[0] - mid
-    neg = (q < 0).astype(np.int16)  # counts up to n - 1 <= 255
-    # Sum of e^2/q and, last, of 1/q: finite only if no pivot is 0 or NaN.
-    pivots = np.zeros_like(mid)
-    t = np.empty_like(mid)
-    below = np.empty(mid.shape, dtype=bool)
-    for i in range(1, n):
-        np.divide(e2[i - 1], q, out=t)
-        pivots += t
-        np.subtract(dt[i], mid, out=q)
-        q -= t
-        np.less(q, 0.0, out=below)
-        neg += below
-    np.divide(1.0, q, out=t)
-    pivots += t
-    ok &= np.all(np.isfinite(pivots), axis=0)
-    return ok & np.all(neg == np.arange(n - 1, 0, -1)[:, None], axis=0)
 
 
 def _log_derivative(x, dt, e2, w, p, acc):

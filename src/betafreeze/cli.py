@@ -35,9 +35,7 @@ import numpy as np
 from . import bounds as _bounds
 from . import experiment as _experiment
 from . import sampler as _sampler
-from .errors import (
-    BetafreezeError, InvalidConfig, check_seed, check_size, check_trials,
-)
+from .errors import BetafreezeError, InvalidConfig, check_seed
 from .experiment import ExperimentConfig, format_float
 from .hermite_core import (
     compute_zeros,
@@ -346,7 +344,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ns = [_config_int(v, "n") for v in raw["n"]]
     trials = _config_int(raw["trials"], "trials")
     seed = _config_int(raw["seed"], "seed") if "seed" in raw else default_seed()
-    check_seed(seed)
     workers = _config_int(raw.get("workers", 1), "workers")
     try:
         ks = [float(v) for v in raw["k"]]
@@ -357,14 +354,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out = raw.get("out")
     if out is not None and not isinstance(out, str):
         raise InvalidConfig(f"config key 'out' must be a file path, got {out!r}")
-    # The whole grid is checked before the first point runs, with the
-    # checks each point makes.
-    check_trials(trials)
-    for n in ns:
-        check_size(n)
-    for k in ks:
-        for c in cs:
-            _bounds.cor_eps(k, c)
     text = _experiment.sweep(
         ns, ks, cs, trials, seed, workers=workers,
         confidence=confidence, out=out,

@@ -371,6 +371,7 @@ def gaussian_reference_tail(
     check_n(N, "N")
     check_threshold(eps)
     check_trials(trials)
+    _check_run(seed, 1, confidence)
     scale = 1.0 / np.sqrt(np.arange(1, N + 1, dtype=float))
 
     def count_hits(rng: np.random.Generator, t: int) -> int:
@@ -431,13 +432,25 @@ def sweep(
     the log-threshold bound (raw formula, validity flagged separately), the
     sup-norm baseline at the converted threshold sqrt(2k) eps, and the
     sharper-bound indicator.  The settings shared by every point (trials,
-    seed, workers, confidence) are checked before ``out`` is opened.  If
-    ``out`` is given, rows are written and flushed incrementally so a
-    per-point failure leaves all completed rows on disk (the exception is
-    then re-raised).
+    seed, workers, confidence) and every grid point's n, k and c are
+    checked before ``out`` is opened; the grid is read once, so one-shot
+    iterables give every point.  If ``out`` is given, rows are written and
+    flushed incrementally so a per-point failure leaves all completed rows
+    on disk (the exception is then re-raised).
     """
+    try:
+        ns = [int(n) for n in ns]
+        ks = [float(k) for k in ks]
+        cs = [float(c) for c in cs]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidConfig(f"grid value not a number: {exc}") from exc
     check_trials(trials)
     _check_run(seed, workers, confidence)
+    for n in ns:
+        check_size(n)
+    for k in ks:
+        for c in cs:
+            _bounds.cor_eps(k, c)
     lines = _sweep_header(trials, seed, workers, confidence)
     handle = open(out, "w") if out is not None else None
     try:
@@ -449,8 +462,7 @@ def sweep(
             for k in ks:
                 for c in cs:
                     row = _sweep_point(
-                        int(n), float(k), float(c), trials, seed, workers,
-                        confidence, point,
+                        n, k, c, trials, seed, workers, confidence, point
                     )
                     lines.append(row)
                     if handle is not None:

@@ -39,6 +39,7 @@ def default_seed() -> int:
 
 def master_stream(seed: int) -> np.random.Generator:
     """Single generator keyed on the master seed."""
+    check_seed(seed)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
@@ -51,6 +52,7 @@ def worker_streams(
     set of streams is splittable and deterministic. ``prefix`` namespaces
     sub-experiments (e.g. one grid point of a sweep) without collisions.
     """
+    check_seed(seed)
     return [
         np.random.Generator(
             np.random.Philox(np.random.SeedSequence(seed, spawn_key=prefix + (w,)))

@@ -12,7 +12,7 @@ import pytest
 import betafreeze as bf
 from betafreeze import experiment
 from betafreeze.cli import main
-from betafreeze.errors import InvalidConfig
+from betafreeze.errors import MAX_N, ConvergenceFailure, InvalidConfig
 from betafreeze.experiment import CHUNK, SWEEP_COLUMNS, _partition, format_float
 
 
@@ -339,6 +339,18 @@ def test_gaussian_reference_tail_basics():
         bf.gaussian_reference_tail(3, 1.0, 0, 0)
 
 
+@pytest.mark.parametrize("kwargs", [{"seed": -1}, {"confidence": 1.5}])
+def test_gaussian_reference_tail_checks_run_settings_first(kwargs, monkeypatch):
+    # A negative seed used to escape as NumPy's ValueError, and a bad
+    # confidence was rejected only after the whole Monte Carlo run.
+    def no_run(*args):
+        raise AssertionError("the Monte Carlo run started")
+
+    monkeypatch.setattr(experiment, "_run_workers", no_run)
+    with pytest.raises(InvalidConfig):
+        bf.gaussian_reference_tail(3, 1.0, 100, **{"seed": 0, **kwargs})
+
+
 # ----------------------------------------------------------------------
 # sweep
 # ----------------------------------------------------------------------
@@ -405,15 +417,46 @@ def test_sweep_bound_dominance_where_applicable():
             assert float(f[8]) <= total, row
 
 
-def test_sweep_partial_flush_on_failure(tmp_path):
+def test_sweep_partial_flush_on_failure(tmp_path, monkeypatch):
+    # A grid point that fails while it runs (here a solver failure injected
+    # at the second point) leaves the rows before it on disk.
     out = str(tmp_path / "partial.csv")
-    with pytest.raises(InvalidConfig):
-        # second k value is invalid for the log threshold (k <= 1)
-        bf.sweep([2], [100.0, 0.5], [1.0], trials=500, seed=4, out=out)
+    estimate = experiment.estimate_tail_l2
+
+    def failing(cfg, seed_prefix):
+        if seed_prefix == (1,):
+            raise ConvergenceFailure("injected")
+        return estimate(cfg, seed_prefix=seed_prefix)
+
+    monkeypatch.setattr(experiment, "estimate_tail_l2", failing)
+    with pytest.raises(ConvergenceFailure):
+        bf.sweep([2], [100.0, 200.0], [1.0], trials=500, seed=4, out=out)
     lines = open(out).read().strip().split("\n")
     assert lines[2] == SWEEP_COLUMNS
     assert len(lines) == 4  # header + the one completed row
     assert lines[3].split(",")[0] == "2"
+
+
+def test_sweep_reads_one_shot_grids_once():
+    # Generators give every grid point, as lists do.
+    want = bf.sweep([2, 3], [1e3, 1e4], [1.0], trials=10, seed=1)
+    got = bf.sweep(iter([2, 3]), (k for k in [1e3, 1e4]), iter([1.0]), 10, 1)
+    assert got == want
+    assert len(got.strip().split("\n")) == 3 + 4
+
+
+@pytest.mark.parametrize("grid", [
+    ([2, 1], [100.0], [1.0]), ([2, MAX_N + 1], [100.0], [1.0]),
+    ([2], [100.0, 0.5], [1.0]), ([2], [100.0], [1.0, 0.0]),
+    ([2], [100.0], [1.0, math.inf]), ([2], [100.0], [1.0, "one"]),
+])
+def test_sweep_grid_checked_before_out_is_opened(grid, tmp_path):
+    # A bad last grid point raises before the first point runs, so no file
+    # is left behind.
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(InvalidConfig):
+        bf.sweep(*grid, trials=500, seed=4, out=str(out))
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("settings", [

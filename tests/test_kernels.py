@@ -7,19 +7,18 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from betafreeze import _core, sampler
 from betafreeze._core import (
     _DENSE_BUDGET,
-    _brackets_hold,
+    _certified,
     _certified_newton,
     _dense,
     _frozen_gate,
     _frozen_rows,
-    _perturbation_norm,
-    _scaled_zeros,
     _warm_start,
-    _weyl_separated,
     eigvals_batch,
 )
 from betafreeze.errors import ConvergenceFailure, InvalidConfig
@@ -126,8 +125,8 @@ def _ensemble_rows(n, k, rows, seed=11):
     return sample_tridiagonal_batch(n, k, master_stream(seed), rows)
 
 
-@pytest.mark.parametrize("n", (2, 3, 5, 8, 32))
-@pytest.mark.parametrize("k", (1.0, 1e2, 1e4, 1e8))
+@pytest.mark.parametrize("n", (2, 3, 5, 8, 32, 64, 128))
+@pytest.mark.parametrize("k", (1.0, 30.0, 1e2, 300.0, 1e3, 1e4, 1e8))
 def test_frozen_path_against_reference(n, k):
     d, e = _ensemble_rows(n, k, 300)
     want = _reference(d, e)
@@ -137,14 +136,9 @@ def test_frozen_path_against_reference(n, k):
 
 
 @pytest.mark.parametrize("n", (3, 5, 8, 32))
-def test_frozen_regime_never_falls_back(n, monkeypatch):
+def test_frozen_regime_never_falls_back(n):
     # Every row at k >= 1e3 passes the gate and is certified by Newton,
-    # without a warning, and the Weyl bracket certifies it without the
-    # Sturm counts.
-    def sturm_called(*args):
-        raise AssertionError("a row at k >= 1e3 needed the Sturm counts")
-
-    monkeypatch.setattr(_core, "_brackets_hold", sturm_called)
+    # without a warning.
     for k in (1e3, 1e4, 1e8):
         d, e = _ensemble_rows(n, k, 3000)
         out = np.empty(d.shape)
@@ -234,26 +228,33 @@ def test_wrong_root_fails_certificate(corrupt, monkeypatch):
 
 
 def test_each_certificate_check_rejects_alone():
-    # The exact roots pass; a root moved far above the top eigenvalue fails
-    # the Sturm counts though the discs fit; a radius wider than the gaps
-    # fails the disc check though the counts are right; a zero pivot fails
-    # the pivot check alone.
+    # The certificate reads only the roots x and the size S of their last
+    # step.  With S = 0 the exact roots pass.  Around c = 2^48, where
+    # eps max|x| = 1/16, with n = 4, S = 1 and D half the gap: D = 5.25
+    # clears (n+1) S = 5 by more than the margin 3 eps max|x| and passes;
+    # D = 5.125, inside the margin, and D = 4.5, though above n S = 4 with a
+    # radius of 6, fail the separation alone.  On roots 1 apart (D = 0.5)
+    # a step of S = 1e-8 passes, and S = 0.05 keeps the discs disjoint
+    # ((n+1) S = 0.25) but leaves a radius of 0.025, above 1e-13 max|x|,
+    # and fails the radius test alone.  Roots out of order fail with S = 0.
     d, e = _ensemble_rows(6, 1e4, 40)
-    dt, e2 = d.T.copy(), (e * e).T.copy()
     roots = _dense(d, e).T.copy()
     zero = np.zeros(roots.shape[1])
-    assert _brackets_hold(roots, zero, dt, e2).all()
-    moved = roots.copy()
-    moved[0] += 1e3
-    assert not _brackets_hold(moved, zero, dt, e2).any()
-    gaps = np.min(roots[:-1] - roots[1:], axis=0)
-    assert not _brackets_hold(roots, 0.6 * gaps, dt, e2).any()
-    # d = (0, 0), e = 1: the midpoint of the roots +-1 is d_0, so the first
-    # pivot is exactly 0, though the count and the discs come out right.
-    with np.errstate(divide="ignore"):
-        assert not _brackets_hold(
-            np.array([[1.0], [-1.0]]), np.zeros(1), np.zeros((2, 1)), np.ones((1, 1))
-        ).any()
+    assert _certified(roots, zero.copy(), np.empty_like(roots)).all()
+
+    def accepted(x, step):
+        x = np.array(x, dtype=float)[:, None]
+        return bool(_certified(x, np.array([step]), np.empty_like(x))[0])
+
+    c = 2.0**48
+    assert 3 * _core._EPS * c == 3 / 16
+    for half_gap, ok in ((5.25, True), (5.125, False), (4.5, False)):
+        x = c + half_gap * np.array([3.0, 1.0, -1.0, -3.0])
+        assert accepted(x, 1.0) == ok
+    assert accepted([3.0, 2.0, 1.0, 0.0], 1e-8)
+    assert not accepted([3.0, 2.0, 1.0, 0.0], 0.05)
+    swapped = roots[[1, 0, 2, 3, 4, 5]]
+    assert not _certified(swapped, zero.copy(), np.empty_like(roots)).any()
 
 
 @pytest.mark.parametrize("where", ("diagonal", "off-diagonal"))
@@ -354,154 +355,50 @@ def test_compaction_keeps_rows_independent(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# the Weyl bracket and the Sturm fallback
+# what the certificate claims
 # ----------------------------------------------------------------------
 
-def _weyl_off(x, *args):
-    return np.zeros(x.shape[1], dtype=bool)
-
-
-def _certify(d, e, monkeypatch, weyl=True):
-    """Roots, accept mask and Weyl mask of one Newton block over all rows."""
-    seen = []
-
-    def spy(*args):
-        sep = (_weyl_separated if weyl else _weyl_off)(*args)
-        seen.append(sep)
-        return sep
-
-    monkeypatch.setattr(_core, "_weyl_separated", spy)
-    g = np.concatenate([d, e], axis=1).T.copy()
-    with np.errstate(all="ignore"):
-        x, ok = _certified_newton(g, first_order_map(d.shape[1]))
-    return x, ok, seen[0]
-
-
-@pytest.mark.parametrize("n", (3, 4, 5, 8, 16, 32, 64, 128, 256))
-def test_weyl_accepted_columns_pass_sturm_counts(n, monkeypatch):
-    # Every column the Weyl bracket certifies also passes _brackets_hold,
-    # so the bracket changes which columns run the Sturm counts but not
-    # which are accepted.
-    weyl_accepted = 0
-    for k in (30.0, 50.0, 100.0, 300.0, 1e3, 1e4, 1e5, 1e6):
-        d, e = _ensemble_rows(n, k, max(40, 4096 // n))
-        x, ok, sep = _certify(d, e, monkeypatch)
-        x_off, ok_off, _ = _certify(d, e, monkeypatch, weyl=False)
-        np.testing.assert_array_equal(x, x_off)
-        assert ok_off[sep & ok].all()
-        np.testing.assert_array_equal(ok, ok_off)
-        weyl_accepted += np.count_nonzero(sep & ok)
-    assert weyl_accepted
-
-
-@pytest.mark.parametrize("n", (3, 8, 32, 128))
-def test_weyl_separation_holds_against_dense(n, monkeypatch):
-    # Where the bracket holds, every eigenvalue other than the j-th is at
-    # least D (half the smallest gap of x) from x_j, for every j.
-    seen = []
-
-    def spy(x, scale, rho, half_gap, w):
-        sep = _weyl_separated(x, scale, rho, half_gap, w)
-        seen.append((x.copy(), half_gap.copy(), sep))
-        return sep
-
-    monkeypatch.setattr(_core, "_weyl_separated", spy)
-    for k in (1e2, 1e3, 1e4):
-        d, e = _ensemble_rows(n, k, 200)
-        eigvals_batch(d, e)
-        x, half_gap, sep = seen.pop()
-        assert sep.any() or k < 1e4
-        lam = _dense(d, e).T
+@pytest.mark.parametrize("n", (3, 8, 32, 64, 128, 256))
+def test_accepted_columns_hold_their_claim_against_dense(n):
+    # On every column the certificate accepts, each root x_j is within
+    # 1e-13 max|x| of the j-th dense eigenvalue, and every other dense
+    # eigenvalue is at least D (half the smallest gap of x) from x_j.
+    rows = min(300, max(40, 8192 // n))
+    for k in (30.0, 1e2, 300.0, 1e3, 1e4):
+        d, e = _ensemble_rows(n, k, rows)
+        g = np.concatenate([d, e], axis=1).T.copy()
+        with np.errstate(all="ignore"):
+            x, ok = _certified_newton(g, first_order_map(n))
+        assert ok.any()
+        x, lam = x[:, ok], _dense(d[ok], e[ok]).T
+        size = np.max(np.abs(x), axis=0)
+        assert np.all(np.abs(x - lam) <= 1e-13 * size)
+        half_gap = 0.5 * np.min(x[:-1] - x[1:], axis=0)
         dist = np.abs(x[:, None, :] - lam[None, :, :])  # (j, i, row)
         dist[np.arange(n), np.arange(n)] = np.inf
-        assert np.all(dist.min(axis=(0, 1))[sep] >= half_gap[sep])
+        assert np.all(dist.min(axis=(0, 1)) >= half_gap)
 
 
-def test_weyl_bracket_needs_roots_near_their_zeros():
-    # T = s T0 exactly (d = 0, delta = 0, so rho = 0): the roots c pass;
-    # roots shifted one place down, which sit on the wrong eigenvalues,
-    # fail through eta; a claimed separation within the rounding margin
-    # 16 eps (c_1 + rho) of the slack fails, one just outside it passes.
-    n, s = 4, np.array([100.0])
-    roots, min_gap = _scaled_zeros(n)
-    c = roots[:, None] * s
-    e = s * np.sqrt(np.arange(n - 1, 0, -1.0))[:, None]
-    g = np.concatenate([np.zeros((n, 1)), e])
-    w, t = np.empty((n, 1)), np.empty((n, 1))
-    scale, rho = np.empty((2, 1))
-    _perturbation_norm(g, scale, rho, w, t)
-    assert scale[0] == s[0] and rho[0] == 0.0
-    half_gap = 0.5 * min_gap * s
-    assert _weyl_separated(c, scale, rho, half_gap, w).all()
-    shifted = np.concatenate([c[1:] + 1e-6, c[-1:] - min_gap * s])
-    assert not _weyl_separated(shifted, scale, rho, half_gap, w).any()
-    slack = min_gap * s  # g_c - eta - rho with eta = rho = 0
-    margin = 16 * _core._EPS * c[0]
-    assert not _weyl_separated(c, scale, rho, slack - 0.5 * margin, w).any()
-    assert _weyl_separated(c, scale, rho, slack - 2 * margin, w).all()
-
-
-@pytest.mark.parametrize("n", (2, 3, 8, 32))
-def test_perturbation_norm_bounds_spectral_norm(n, rng):
-    # rho >= ||T - s T0||_2, s the mean of e_i / sqrt(n-i), for ensemble
-    # rows and for rows far from the ensemble (negative and tiny e).
-    d, e = _ensemble_rows(n, 1e4, 50)
-    d = np.concatenate([d, rng.standard_normal((50, n)) * 1e3])
-    e = np.concatenate([e, rng.standard_normal((50, n - 1))])
-    g = np.concatenate([d, e], axis=1).T.copy()
-    scale, rho = np.empty((2, g.shape[1]))
-    w, t = np.empty((2, n, g.shape[1]))
-    _perturbation_norm(g, scale, rho, w, t)
-    sqrt_dof = np.sqrt(np.arange(n - 1, 0, -1))
-    np.testing.assert_allclose(scale, np.mean(e / sqrt_dof, axis=1), rtol=1e-14)
-    delta = e - scale[:, None] * sqrt_dof
-    for row in range(g.shape[1]):
-        eig = scipy.linalg.eigvalsh_tridiagonal(d[row], delta[row])
-        assert np.max(np.abs(eig)) <= rho[row]
-
-
-def test_scaled_zeros_cached_read_only():
-    w, min_gap = _scaled_zeros(5)
-    assert _scaled_zeros(5)[0] is w
-    assert not w.flags.writeable
-    t0 = np.diag(np.sqrt(np.arange(4, 0, -1.0)), 1)
-    np.testing.assert_allclose(w, np.linalg.eigvalsh(t0 + t0.T)[::-1], atol=1e-14)
-    assert min_gap == np.min(w[:-1] - w[1:])
-
-
-@pytest.mark.parametrize("n", (3, 5, 8, 32, 64))
-def test_results_identical_with_weyl_off(n, monkeypatch):
-    # With the bracket forced off every column goes through the Sturm
-    # counts; the eigenvalues come out bit for bit the same.
-    for k in (30.0, 1e2, 1e3, 1e4):
-        d, e = _ensemble_rows(n, k, max(300, 8192 // n))
-        e[3] *= 1e-3  # one gated-out row
-        got = eigvals_batch(d, e)
-        monkeypatch.setattr(_core, "_weyl_separated", _weyl_off)
-        np.testing.assert_array_equal(eigvals_batch(d, e), got)
-        monkeypatch.undo()
-
-
-@pytest.mark.parametrize("k", (30.0, 100.0))
-def test_sturm_fallback_runs_where_weyl_is_open(k, monkeypatch):
-    # At n = 64 and small k the gaps are too narrow for the bracket, so
-    # rows go through the Sturm counts, and the results match SciPy.
-    d, e = _ensemble_rows(64, k, 300)
-    columns = []
-    sturm = _core._brackets_hold
-
-    def counted(x, *args):
-        columns.append(x.shape[1])
-        return sturm(x, *args)
-
-    monkeypatch.setattr(_core, "_brackets_hold", counted)
-    got = eigvals_batch(d, e)
-    assert sum(columns) >= 100
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from((3, 4, 8, 32)),
+    log_k=st.floats(np.log10(30.0), 8.0),
+    shift=st.floats(-(2.0**48), 2.0**48),
+    seed=st.integers(0, 2**16),
+)
+def test_shifted_frozen_rows_match_reference(n, log_k, shift, seed):
+    # T + c I has the eigenvalues of T shifted by c and passes the gate as T
+    # does; up to |c| = 2^48 the eps max|x| terms of the certificate matter.
+    # Every row, and every row Newton certifies, is within 1e-13 max|lambda|
+    # of SciPy.
+    d, e = _ensemble_rows(n, 10.0**log_k, 20, seed=seed)
+    d += shift
     want = _reference(d, e)
-    scale = np.max(np.abs(want), axis=1, keepdims=True)
-    assert np.all(np.abs(got - want) <= 1e-13 * scale)
-    monkeypatch.setattr(_core, "_weyl_separated", _weyl_off)
-    np.testing.assert_array_equal(eigvals_batch(d, e), got)
+    tol = 1e-13 * np.max(np.abs(want), axis=1, keepdims=True)
+    assert np.all(np.abs(eigvals_batch(d, e) - want) <= tol)
+    out = np.empty(d.shape)
+    ok = _frozen_rows(d, e, range(len(d)), out)
+    assert np.all(np.abs(out[ok] - want[ok]) <= tol[ok])
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,7 @@ import scipy.stats
 import betafreeze as bf
 from betafreeze._core import eigvals_batch
 from betafreeze.errors import InvalidConfig
-from betafreeze.rng import master_stream
+from betafreeze.rng import master_stream, worker_streams
 from betafreeze.sampler import _log_target
 
 
@@ -92,6 +92,13 @@ def test_tridiagonal_validation():
 # ----------------------------------------------------------------------
 # eigenvalues
 # ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("make", (master_stream, lambda seed: worker_streams(seed, 2)))
+def test_streams_reject_negative_seed(make):
+    # NumPy's SeedSequence raised a bare ValueError here.
+    with pytest.raises(InvalidConfig):
+        make(-1)
+
 
 def test_eigen_matches_dense_oracle(rng):
     for _ in range(100):
