@@ -132,15 +132,19 @@ _EPS = np.finfo(float).eps
 def eigvals_batch(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Descending eigenvalues for a batch of symmetric tridiagonal matrices.
 
-    d: (batch, n) diagonals; e: (batch, n-1) off-diagonals.  Raises
-    ConvergenceFailure if a row that reaches the dense path has a
-    non-finite entry or LAPACK fails to converge on it.
+    d: (batch, n) diagonals, n >= 1; e: (batch, n-1) off-diagonals.  Raises
+    InvalidConfig for other shapes, and ConvergenceFailure if a row that
+    reaches the dense path has a non-finite entry or LAPACK fails to
+    converge on it.
     """
     d = np.atleast_2d(np.asarray(d, dtype=float))
     e = np.atleast_2d(np.asarray(e, dtype=float))
+    if d.ndim != 2 or d.shape[1] < 1 or e.shape != (d.shape[0], d.shape[1] - 1):
+        raise InvalidConfig(
+            f"need d of shape (batch, n >= 1) and e of shape (batch, n-1), "
+            f"got {d.shape} and {e.shape}"
+        )
     batch, n = d.shape
-    if n >= 2 and e.shape[1] != n - 1:
-        raise InvalidConfig("off-diagonal must have n-1 columns")
     if n == 2:
         return _closed_form(d, e)
     if not 3 <= n <= _FROZEN_MAX_N:

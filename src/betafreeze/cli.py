@@ -35,8 +35,8 @@ import numpy as np
 from . import bounds as _bounds
 from . import experiment as _experiment
 from . import sampler as _sampler
-from .errors import BetafreezeError, InvalidConfig, check_seed
-from .experiment import ExperimentConfig, format_float
+from .errors import BetafreezeError, InvalidConfig
+from .experiment import ExperimentConfig, format_cell, format_float
 from .hermite_core import (
     compute_zeros,
     fixed_point_residual,
@@ -67,14 +67,17 @@ def _result_stream(out: str | None):
 
 def _seed(args: argparse.Namespace) -> int:
     """The run's seed: ``--seed``, else the ``BETAFREEZE_SEED`` default."""
-    if args.seed is None:
-        return default_seed()
-    check_seed(args.seed)
-    return args.seed
+    return default_seed() if args.seed is None else args.seed
 
 
 def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
+
+
+def _csv_record(record: dict) -> str:
+    """A header line of the record's keys and a row of its cells."""
+    cells = map(format_cell, record.values())
+    return ",".join(record) + "\n" + ",".join(cells) + "\n"
 
 
 # ----------------------------------------------------------------------
@@ -200,40 +203,22 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         eps = args.eps
         cor = None
     bd = _bounds.prop_bound(args.n, args.k, eps)
-    if args.format == "json":
-        payload = {
-            "n": args.n,
-            "k": args.k,
-            "c": args.c,
-            "eps": eps,
-            "term_quartic": bd.term_quartic,
-            "term_stirling": bd.term_stirling,
-            "e_factor": bd.e_factor,
-            "term_gaussian": bd.term_gaussian,
-            "total": bd.total,
-            "total_clamped": bd.total_clamped,
-            "condition_ok": bd.condition_ok,
-            "cor_bound": cor,
-        }
-        sys.stdout.write(_json_dumps(payload))
-    else:
-        header = ("n,k,c,eps,term_quartic,term_stirling,e_factor,"
-                  "term_gaussian,total,total_clamped,condition_ok,cor_bound")
-        row = ",".join([
-            str(args.n),
-            format_float(args.k),
-            "" if args.c is None else format_float(args.c),
-            format_float(eps),
-            format_float(bd.term_quartic),
-            format_float(bd.term_stirling),
-            format_float(bd.e_factor),
-            format_float(bd.term_gaussian),
-            format_float(bd.total),
-            format_float(bd.total_clamped),
-            "true" if bd.condition_ok else "false",
-            "" if cor is None else format_float(cor),
-        ])
-        sys.stdout.write(header + "\n" + row + "\n")
+    record = {
+        "n": args.n,
+        "k": args.k,
+        "c": args.c,
+        "eps": eps,
+        "term_quartic": bd.term_quartic,
+        "term_stirling": bd.term_stirling,
+        "e_factor": bd.e_factor,
+        "term_gaussian": bd.term_gaussian,
+        "total": bd.total,
+        "total_clamped": bd.total_clamped,
+        "condition_ok": bd.condition_ok,
+        "cor_bound": cor,
+    }
+    write = _json_dumps if args.format == "json" else _csv_record
+    sys.stdout.write(write(record))
     return 0
 
 
@@ -259,28 +244,13 @@ def cmd_tail(args: argparse.Namespace) -> int:
             est = _experiment.estimate_tail_l2(cfg)
         else:
             est = _experiment.estimate_tail_sup(cfg)
-        stream.write(_tail_row(args, eps, seed, est))
+        stream.write(_csv_record({
+            "n": args.n, "k": args.k, "norm": args.norm, "eps": eps,
+            "trials": est.trials, "seed": seed, "workers": args.workers,
+            "confidence": args.confidence, "hits": est.hits,
+            "p_hat": est.p_hat, "ci_low": est.ci_low, "ci_high": est.ci_high,
+        }))
     return 0
-
-
-def _tail_row(args: argparse.Namespace, eps: float, seed: int, est) -> str:
-    header = ("n,k,norm,eps,trials,seed,workers,confidence,"
-              "hits,p_hat,ci_low,ci_high")
-    row = ",".join([
-        str(args.n),
-        format_float(args.k),
-        args.norm,
-        format_float(eps),
-        str(est.trials),
-        str(seed),
-        str(args.workers),
-        format_float(args.confidence),
-        str(est.hits),
-        format_float(est.p_hat),
-        format_float(est.ci_low),
-        format_float(est.ci_high),
-    ])
-    return header + "\n" + row + "\n"
 
 
 # ----------------------------------------------------------------------
@@ -293,21 +263,12 @@ def cmd_clt(args: argparse.Namespace) -> int:
     cfg.validate()
     with _result_stream(args.out) as stream:
         report = _experiment.clt_covariance_test(cfg)
-        stream.write(_clt_row(report, seed))
+        stream.write(_csv_record({
+            "n": report.n, "k": report.k, "trials": report.trials,
+            "seed": seed, "mean_norm": report.mean_norm,
+            "cov_rel_err": report.cov_rel_err,
+        }))
     return 0
-
-
-def _clt_row(report, seed: int) -> str:
-    header = "n,k,trials,seed,mean_norm,cov_rel_err"
-    row = ",".join([
-        str(report.n),
-        format_float(report.k),
-        str(report.trials),
-        str(seed),
-        format_float(report.mean_norm),
-        format_float(report.cov_rel_err),
-    ])
-    return header + "\n" + row + "\n"
 
 
 # ----------------------------------------------------------------------
@@ -332,22 +293,9 @@ def _load_sweep_config(path: str) -> dict:
     return raw
 
 
-def _config_int(value, key: str) -> int:
-    """A sweep config integer; int() would truncate 2.9 and take true as 1."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidConfig(f"config key '{key}' must be an integer, got {value!r}")
-    return value
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     raw = _load_sweep_config(args.config)
-    ns = [_config_int(v, "n") for v in raw["n"]]
-    trials = _config_int(raw["trials"], "trials")
-    seed = _config_int(raw["seed"], "seed") if "seed" in raw else default_seed()
-    workers = _config_int(raw.get("workers", 1), "workers")
     try:
-        ks = [float(v) for v in raw["k"]]
-        cs = [float(v) for v in raw["c"]]
         confidence = float(raw.get("confidence", 0.99))
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidConfig(f"config value not a number: {exc}")
@@ -355,8 +303,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if out is not None and not isinstance(out, str):
         raise InvalidConfig(f"config key 'out' must be a file path, got {out!r}")
     text = _experiment.sweep(
-        ns, ks, cs, trials, seed, workers=workers,
-        confidence=confidence, out=out,
+        raw["n"], raw["k"], raw["c"], raw["trials"],
+        raw["seed"] if "seed" in raw else default_seed(),
+        workers=raw.get("workers", 1), confidence=confidence, out=out,
     )
     if out is None:
         sys.stdout.write(text)

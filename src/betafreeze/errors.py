@@ -3,10 +3,15 @@
 Every library-raised error derives from :class:`BetafreezeError` so callers
 (and the CLI) can distinguish configuration mistakes from numerical failures.
 The ``check_*`` functions are the one definition of each parameter's domain;
-a module that needs a stricter domain adds only that part on top.
+a module that needs a stricter domain adds only that part on top.  Every
+count (n, trials, draws, hits, workers) and every seed is an integer: a
+Python or NumPy integer, never a ``bool``, a float (2.0 included) or a
+``str``, so nothing is truncated or converted on the way in.
 """
 
 import math
+
+import numpy as np
 
 #: Largest n of an ensemble that is sampled, solved or factored; every n up
 #: to it works.  The program forms n x n arrays there (the dense eigensolver,
@@ -24,10 +29,17 @@ class InvalidConfig(BetafreezeError):
     """A parameter or configuration violates a documented precondition."""
 
 
+def check_integer(value, name: str, low: int) -> None:
+    """A count or seed: an integer (not a bool) >= low."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise InvalidConfig(f"{name} must be >= {low}, got {value}")
+
+
 def check_n(n: int, name: str = "n") -> None:
-    """The ensemble size: n >= 2."""
-    if not n >= 2:
-        raise InvalidConfig(f"{name} must be >= 2, got {n}")
+    """The ensemble size: an integer n >= 2."""
+    check_integer(n, name, 2)
 
 
 def check_size(n: int, name: str = "n") -> None:
@@ -43,16 +55,25 @@ def check_k(k: float) -> None:
         raise InvalidConfig(f"k must be positive and finite, got {k}")
 
 
-def check_trials(trials: int) -> None:
-    """A Monte Carlo trial count: trials >= 1."""
-    if not trials >= 1:
-        raise InvalidConfig(f"trials must be >= 1, got {trials}")
+def check_trials(trials: int, name: str = "trials") -> None:
+    """A Monte Carlo trial count: an integer >= 1."""
+    check_integer(trials, name, 1)
 
 
 def check_seed(seed: int) -> None:
     """A random seed: an integer >= 0, as NumPy's SeedSequence requires."""
-    if not seed >= 0:
-        raise InvalidConfig(f"seed must be >= 0, got {seed}")
+    check_integer(seed, "seed", 0)
+
+
+def check_workers(workers: int) -> None:
+    """A worker count: an integer >= 1."""
+    check_integer(workers, "workers", 1)
+
+
+def check_confidence(confidence: float) -> None:
+    """A confidence level: in (0, 1)."""
+    if not 0.0 < confidence < 1.0:
+        raise InvalidConfig(f"confidence must be in (0, 1), got {confidence}")
 
 
 def check_threshold(x: float, name: str = "eps") -> None:
@@ -89,10 +110,13 @@ __all__ = [
     "FactorizationFailure",
     "ConditionViolated",
     "MAX_N",
+    "check_integer",
     "check_n",
     "check_size",
     "check_k",
     "check_trials",
     "check_seed",
+    "check_workers",
+    "check_confidence",
     "check_threshold",
 ]

@@ -33,12 +33,14 @@ from . import bounds as _bounds
 from . import sampler as _sampler
 from .errors import (
     InvalidConfig,
+    check_confidence,
     check_k,
     check_n,
     check_seed,
     check_size,
     check_threshold,
     check_trials,
+    check_workers,
 )
 from .hermite_core import compute_zeros
 from .rng import worker_streams
@@ -120,7 +122,9 @@ class ExperimentConfig:
         check_size(self.n)
         check_k(self.k)
         check_trials(self.trials)
-        _check_run(self.seed, self.workers, self.confidence)
+        check_seed(self.seed)
+        check_workers(self.workers)
+        check_confidence(self.confidence)
 
     def resolve_eps(self) -> float:
         """The tail threshold.  eps = inf is the trivial event (no hits);
@@ -133,16 +137,6 @@ class ExperimentConfig:
                 raise InvalidConfig(f"eps must be positive, got {self.eps}")
             return float(self.eps)
         return _bounds.cor_eps(self.k, self.c)
-
-
-def _check_run(seed: int, workers: int, confidence: float) -> None:
-    """The settings shared by a run's experiments: seed >= 0, workers >= 1
-    and confidence in (0, 1)."""
-    check_seed(seed)
-    if workers < 1:
-        raise InvalidConfig(f"workers must be >= 1, got {workers}")
-    if not 0.0 < confidence < 1.0:
-        raise InvalidConfig(f"confidence must be in (0, 1), got {confidence}")
 
 
 #: Row length from which the norms reduce along the row axis.  Below it
@@ -371,7 +365,8 @@ def gaussian_reference_tail(
     check_n(N, "N")
     check_threshold(eps)
     check_trials(trials)
-    _check_run(seed, 1, confidence)
+    check_seed(seed)
+    check_confidence(confidence)
     scale = 1.0 / np.sqrt(np.arange(1, N + 1, dtype=float))
 
     def count_hits(rng: np.random.Generator, t: int) -> int:
@@ -392,6 +387,18 @@ def gaussian_reference_tail(
 def format_float(x: float) -> str:
     """Serialize a float with 17 significant digits (round-trip exact)."""
     return f"{x:.17g}"
+
+
+def format_cell(value) -> str:
+    """One CSV cell: a float by :func:`format_float`, None as empty, a bool
+    as true/false, anything else by ``str``."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format_float(value)
+    return str(value)
 
 
 def _sweep_header(trials: int, seed: int, workers: int, confidence: float) -> list[str]:
@@ -433,19 +440,24 @@ def sweep(
     sup-norm baseline at the converted threshold sqrt(2k) eps, and the
     sharper-bound indicator.  The settings shared by every point (trials,
     seed, workers, confidence) and every grid point's n, k and c are
-    checked before ``out`` is opened; the grid is read once, so one-shot
-    iterables give every point.  If ``out`` is given, rows are written and
-    flushed incrementally so a per-point failure leaves all completed rows
-    on disk (the exception is then re-raised).
+    checked before ``out`` is opened: each n, like trials, seed and workers,
+    must be an integer (``errors.check_integer``; 2.0 is rejected, not
+    converted), while k and c are taken through ``float``.  The grid is
+    read once, so one-shot iterables give every point.  If ``out`` is
+    given, rows are written and flushed incrementally so a per-point
+    failure leaves all completed rows on disk (the exception is then
+    re-raised).
     """
+    ns = list(ns)
     try:
-        ns = [int(n) for n in ns]
         ks = [float(k) for k in ks]
         cs = [float(c) for c in cs]
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidConfig(f"grid value not a number: {exc}") from exc
     check_trials(trials)
-    _check_run(seed, workers, confidence)
+    check_seed(seed)
+    check_workers(workers)
+    check_confidence(confidence)
     for n in ns:
         check_size(n)
     for k in ks:
@@ -495,29 +507,13 @@ def _sweep_point(
         workers=workers, confidence=confidence,
     )
     est = estimate_tail_l2(cfg, seed_prefix=(point_index,))
-    fields = [
-        str(n),
-        format_float(k),
-        format_float(c),
-        format_float(eps),
-        str(est.trials),
-        str(est.hits),
-        format_float(est.p_hat),
-        format_float(est.ci_low),
-        format_float(est.ci_high),
-        format_float(bd.term_quartic),
-        format_float(bd.term_stirling),
-        format_float(bd.e_factor),
-        format_float(bd.term_gaussian),
-        format_float(bd.total),
-        format_float(bd.total_clamped),
-        "true" if bd.condition_ok else "false",
-        format_float(cor),
-        format_float(di_eps),
-        format_float(di),
+    fields = (
+        n, k, c, eps, est.trials, est.hits, est.p_hat, est.ci_low, est.ci_high,
+        bd.term_quartic, bd.term_stirling, bd.e_factor, bd.term_gaussian,
+        bd.total, bd.total_clamped, bd.condition_ok, cor, di_eps, di,
         _tighter(bd, di),
-    ]
-    return ",".join(fields)
+    )
+    return ",".join(map(format_cell, fields))
 
 
 __all__ = [
@@ -533,4 +529,5 @@ __all__ = [
     "gaussian_reference_tail",
     "sweep",
     "format_float",
+    "format_cell",
 ]

@@ -28,6 +28,7 @@ from .errors import (
     ConvergenceFailure,
     DegenerateInput,
     InvalidConfig,
+    check_integer,
     check_k,
     check_n,
     check_size,
@@ -73,8 +74,7 @@ class HermiteZeros:
         z = np.asarray(self.zeros, dtype=float)
         z.setflags(write=False)
         object.__setattr__(self, "zeros", z)
-        if self.n < 2:
-            raise InvalidConfig(f"order must be >= 2, got {self.n}")
+        check_n(self.n, "order")
         if z.shape != (self.n,):
             raise InvalidConfig("zeros must be a length-n vector")
         if not np.all(np.diff(z) < 0):
@@ -145,8 +145,7 @@ def hermite_eval(n: int, x: float) -> tuple[ScaledReal, ScaledReal]:
     in the immediate neighbourhood of a zero of H_n, where the value itself
     vanishes and relative accuracy is meaningless.
     """
-    if n < 0:
-        raise InvalidConfig(f"order must be >= 0, got {n}")
+    check_integer(n, "order", 0)
     if n == 0:
         return ScaledReal(1.0, 0.0), ScaledReal(0.0, -math.inf)
     xv = np.asarray([float(x)])
@@ -168,7 +167,8 @@ def _newton_ratio(n: int, x: np.ndarray) -> np.ndarray:
 # Zeros
 # ----------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=32)
+# typed: a float n equal to a cached NumPy integer n must not skip the check.
+@functools.lru_cache(maxsize=32, typed=True)
 def compute_zeros(n: int) -> HermiteZeros:
     """Zeros of H_n, strictly descending, certified by their fixed-point residual.
 

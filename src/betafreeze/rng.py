@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from .errors import InvalidConfig, check_seed
+from .errors import InvalidConfig, check_seed, check_workers
 
 #: Environment variable consulted by the CLI for a default seed.
 SEED_ENV_VAR = "BETAFREEZE_SEED"
@@ -53,6 +53,7 @@ def worker_streams(
     sub-experiments (e.g. one grid point of a sweep) without collisions.
     """
     check_seed(seed)
+    check_workers(workers)
     return [
         np.random.Generator(
             np.random.Philox(np.random.SeedSequence(seed, spawn_key=prefix + (w,)))

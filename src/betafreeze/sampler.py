@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from . import _core
-from .errors import InvalidConfig, check_k, check_size, check_trials
+from .errors import InvalidConfig, check_k, check_n, check_size, check_trials
 from .hermite_core import compute_zeros
 
 _SQRT2 = math.sqrt(2.0)
@@ -126,7 +126,8 @@ def sample_eigenvalue_batch(
     return _core.eigvals_batch(d, e)
 
 
-@functools.lru_cache(maxsize=32)
+# typed: a float n equal to a cached NumPy integer n must not skip the check.
+@functools.lru_cache(maxsize=32, typed=True)
 def first_order_map(n: int) -> np.ndarray:
     """(n, 2n-1) matrix A of the first-order eigenvalue perturbation.
 
@@ -183,12 +184,12 @@ def mh_oracle_chain(
     thinned so residual autocorrelation is negligible; draw i comes from
     chain i mod ``_MH_CHAINS`` and is sorted descending.
     """
-    if n not in (2, 3):
+    check_n(n)
+    if n > 3:
         raise InvalidConfig("the oracle is restricted to n in {2, 3}")
     if not 0.0 < k <= 10.0:
         raise InvalidConfig("the oracle is restricted to k <= 10")
-    if draws < 1:
-        raise InvalidConfig(f"draws must be >= 1, got {draws}")
+    check_trials(draws, "draws")
 
     iu, ju = np.triu_indices(n, k=1)
     z = compute_zeros(n).zeros

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DegenerateInput, FactorizationFailure, InvalidConfig
+from .errors import DegenerateInput, FactorizationFailure, InvalidConfig, check_n
 from .hermite_core import HermiteZeros, _as_zero_vector
 
 
@@ -72,8 +72,7 @@ def build_precision(z) -> PrecisionSpectralPair:
     """
     zv = _as_zero_vector(z)
     n = zv.size
-    if n < 2:
-        raise InvalidConfig("need at least 2 points")
+    check_n(n, "number of points")
     w = _pairwise_inverse_squares(zv)
     S = -w
     idx = np.arange(n)

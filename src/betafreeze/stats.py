@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.stats
 
-from .errors import InvalidConfig
+from .errors import InvalidConfig, check_confidence, check_integer, check_trials
 
 
 def clopper_pearson(hits: int, trials: int, confidence: float = 0.99) -> tuple[float, float]:
@@ -21,12 +21,11 @@ def clopper_pearson(hits: int, trials: int, confidence: float = 0.99) -> tuple[f
     Endpoints are the standard beta quantiles; the interval is [0, hi] when
     hits == 0 and [lo, 1] when hits == trials.
     """
-    if trials < 1:
-        raise InvalidConfig(f"trials must be >= 1, got {trials}")
-    if not 0 <= hits <= trials:
+    check_trials(trials)
+    check_integer(hits, "hits", 0)
+    if hits > trials:
         raise InvalidConfig(f"hits must be in [0, trials], got {hits}/{trials}")
-    if not 0.0 < confidence < 1.0:
-        raise InvalidConfig(f"confidence must be in (0, 1), got {confidence}")
+    check_confidence(confidence)
     alpha = 1.0 - confidence
     if hits == 0:
         lo = 0.0

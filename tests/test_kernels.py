@@ -105,6 +105,18 @@ def test_eigvals_batch_validation(rng):
         eigvals_batch(np.zeros((3, 4)), np.ones((3, 2)))
 
 
+@pytest.mark.parametrize("d, e", [
+    (np.ones((3, 2)), np.ones((1, 1))),  # e's one row was spread over all
+    (np.ones((2, 3)), np.ones((3, 2))),  # e's third row was dropped: dense
+    (np.zeros((2, 3)), np.full((3, 2), 1e3)),  # ... and frozen Newton
+    (np.ones((3, 0)), np.ones((3, 0))),  # n = 0 divided by zero
+    (np.ones((2, 3, 3)), np.ones((2, 3, 2))),  # 3-D failed to unpack
+], ids=["e-one-row", "e-extra-row-dense", "e-extra-row-frozen", "n0", "3d"])
+def test_eigvals_batch_rejects_mismatched_shapes(d, e):
+    with pytest.raises(InvalidConfig):
+        eigvals_batch(d, e)
+
+
 def test_solver_failure_is_convergence_failure():
     # A NaN entry makes LAPACK's eigvalsh raise LinAlgError; the solver must
     # surface it as ConvergenceFailure, which the CLI maps to exit code 3.
