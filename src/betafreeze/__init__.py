@@ -51,7 +51,6 @@ from .experiment import (
 from .hermite_core import (
     HermiteZeros,
     ScaledReal,
-    StirlingRemainder,
     compute_zeros,
     exponent_M,
     fixed_point_residual,
@@ -59,7 +58,6 @@ from .hermite_core import (
     log_norm_const,
     potential_identity_gap,
     stirling_bound_margins,
-    stirling_mu,
 )
 from .rng import SEED_ENV_VAR, default_seed, master_stream, worker_streams
 from .sampler import (
@@ -95,13 +93,11 @@ __all__ = [
     # hermite_core
     "HermiteZeros",
     "ScaledReal",
-    "StirlingRemainder",
     "compute_zeros",
     "fixed_point_residual",
     "potential_identity_gap",
     "hermite_eval",
     "log_norm_const",
-    "stirling_mu",
     "stirling_bound_margins",
     "exponent_M",
     # spectral

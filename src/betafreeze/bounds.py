@@ -31,9 +31,9 @@ from dataclasses import dataclass
 
 from .errors import (
     ConditionViolated,
-    InvalidConfig,
     check_k,
     check_n,
+    check_real,
     check_threshold,
 )
 
@@ -65,15 +65,13 @@ class BoundBreakdown:
 def _validate_nke(N: int, k: float, eps: float) -> None:
     check_n(N, "N")
     check_k(k)
-    if k < 1.0:
-        raise InvalidConfig(f"k must be >= 1, got {k}")
+    check_real(k, "k", 1.0, closed_low=True)
     check_threshold(eps)
 
 
 def _validate_log_threshold(k: float, c: float) -> None:
     check_k(k)
-    if k <= 1.0:
-        raise InvalidConfig(f"need k > 1 for the log threshold, got {k}")
+    check_real(k, "k", 1.0)
     check_threshold(c, "c")
 
 
@@ -203,8 +201,8 @@ def dette_imhof_bound(N: int, eps_unscaled: float) -> float:
     that comparison is conservative for this bound's side.
     """
     check_n(N, "N")
-    if not eps_unscaled >= 0.0:
-        raise InvalidConfig(f"eps must be >= 0, got {eps_unscaled}")
+    check_real(eps_unscaled, "eps", 0.0, math.inf, closed_low=True,
+               closed_high=True)
     return 4.0 * N * math.exp(-eps_unscaled * eps_unscaled / 18.0)
 
 
@@ -213,7 +211,9 @@ def optimize_delta(r: float) -> float:
 
     For r >= -2 the minimum sits at the boundary delta = 0 (the bound is
     vacuous); otherwise at delta* = 1/2 + 1/r, interior to (0, 1/2).
+    r may be infinite, never NaN.
     """
+    check_real(r, "r", closed_low=True, closed_high=True)
     if r >= -2.0:
         return 0.0
     return 0.5 + 1.0 / r

@@ -35,7 +35,7 @@ import numpy as np
 from . import bounds as _bounds
 from . import experiment as _experiment
 from . import sampler as _sampler
-from .errors import BetafreezeError, InvalidConfig
+from .errors import BetafreezeError, InvalidConfig, check_threshold
 from .experiment import ExperimentConfig, format_cell, format_float
 from .hermite_core import (
     compute_zeros,
@@ -229,8 +229,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 def cmd_tail(args: argparse.Namespace) -> int:
     # The library takes eps = inf as the event with no hits; on the command
     # line it is a mistake.
-    if args.eps is not None and not math.isfinite(args.eps):
-        raise InvalidConfig(f"eps must be finite, got {args.eps}")
+    if args.eps is not None:
+        check_threshold(args.eps)
     seed = _seed(args)
     cfg = ExperimentConfig(
         n=args.n, k=args.k, trials=args.trials, seed=seed,
@@ -295,17 +295,14 @@ def _load_sweep_config(path: str) -> dict:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     raw = _load_sweep_config(args.config)
-    try:
-        confidence = float(raw.get("confidence", 0.99))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidConfig(f"config value not a number: {exc}")
     out = raw.get("out")
     if out is not None and not isinstance(out, str):
         raise InvalidConfig(f"config key 'out' must be a file path, got {out!r}")
     text = _experiment.sweep(
         raw["n"], raw["k"], raw["c"], raw["trials"],
         raw["seed"] if "seed" in raw else default_seed(),
-        workers=raw.get("workers", 1), confidence=confidence, out=out,
+        workers=raw.get("workers", 1), confidence=raw.get("confidence", 0.99),
+        out=out,
     )
     if out is None:
         sys.stdout.write(text)

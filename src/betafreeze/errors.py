@@ -6,12 +6,19 @@ The ``check_*`` functions are the one definition of each parameter's domain;
 a module that needs a stricter domain adds only that part on top.  Every
 count (n, trials, draws, hits, workers) and every seed is an integer: a
 Python or NumPy integer, never a ``bool``, a float (2.0 included) or a
-``str``, so nothing is truncated or converted on the way in.
+``str``.  Every scalar real (k, eps, c, confidence, a bound's r, a point x)
+is a Python or NumPy real, never a ``bool``, ``str`` or ``None``, in an
+interval with open or closed ends (:func:`check_real`): never NaN, and
+finite unless an infinite end is closed (eps = inf is the event with no
+hits).  Nothing is truncated or converted on the way in.
 """
 
 import math
+import sys
 
 import numpy as np
+
+_REAL_TYPES = (int, float, np.integer, np.floating)
 
 #: Largest n of an ensemble that is sampled, solved or factored; every n up
 #: to it works.  The program forms n x n arrays there (the dense eigensolver,
@@ -49,10 +56,26 @@ def check_size(n: int, name: str = "n") -> None:
         raise InvalidConfig(f"{name} must be <= {MAX_N}, got {n}")
 
 
+def check_real(value, name: str, low: float = -math.inf,
+               high: float = math.inf, *, closed_low: bool = False,
+               closed_high: bool = False, domain: str = "") -> None:
+    """A real from low to high, an end excluded unless closed: a Python or
+    NumPy real (not a bool; an int must fit a float), never NaN, infinite
+    only at a closed end, and not converted.  ``domain`` words the message."""
+    if isinstance(value, bool) or not isinstance(value, _REAL_TYPES):
+        raise InvalidConfig(f"{name} must be a real number, got {value!r}")
+    # NaN fails both comparisons, whatever the ends.
+    if not ((low <= value if closed_low else low < value)
+            and (value <= high if closed_high else value < high)) or (
+            isinstance(value, int) and abs(value) > sys.float_info.max):
+        domain = domain or (f"in {'[' if closed_low else '('}{low:g}, "
+                            f"{high:g}{']' if closed_high else ')'}")
+        raise InvalidConfig(f"{name} must be {domain}, got {value}")
+
+
 def check_k(k: float) -> None:
     """The interaction parameter (beta = 2k): k > 0 and finite."""
-    if not (k > 0.0 and math.isfinite(k)):
-        raise InvalidConfig(f"k must be positive and finite, got {k}")
+    check_real(k, "k", 0.0, domain="positive and finite")
 
 
 def check_trials(trials: int, name: str = "trials") -> None:
@@ -72,14 +95,12 @@ def check_workers(workers: int) -> None:
 
 def check_confidence(confidence: float) -> None:
     """A confidence level: in (0, 1)."""
-    if not 0.0 < confidence < 1.0:
-        raise InvalidConfig(f"confidence must be in (0, 1), got {confidence}")
+    check_real(confidence, "confidence", 0.0, 1.0)
 
 
 def check_threshold(x: float, name: str = "eps") -> None:
     """A tail threshold or its coefficient: positive and finite."""
-    if not (x > 0.0 and math.isfinite(x)):
-        raise InvalidConfig(f"{name} must be positive and finite, got {x}")
+    check_real(x, name, 0.0, domain="positive and finite")
 
 
 class ConvergenceFailure(BetafreezeError):
@@ -111,6 +132,7 @@ __all__ = [
     "ConditionViolated",
     "MAX_N",
     "check_integer",
+    "check_real",
     "check_n",
     "check_size",
     "check_k",

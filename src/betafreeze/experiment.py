@@ -36,6 +36,7 @@ from .errors import (
     check_confidence,
     check_k,
     check_n,
+    check_real,
     check_seed,
     check_size,
     check_threshold,
@@ -133,8 +134,7 @@ class ExperimentConfig:
         if (self.eps is None) == (self.c is None):
             raise InvalidConfig("exactly one of eps or c must be given")
         if self.eps is not None:
-            if not self.eps > 0.0:
-                raise InvalidConfig(f"eps must be positive, got {self.eps}")
+            check_real(self.eps, "eps", 0.0, math.inf, closed_high=True)
             return float(self.eps)
         return _bounds.cor_eps(self.k, self.c)
 
@@ -174,6 +174,7 @@ def per_trial_norms(lam: np.ndarray, k: float, z: np.ndarray):
     docstring), so that identity is exact; it agrees with the directly
     computed max|X - sqrt(2k) z| to rounding.
     """
+    check_k(k)
     sqrt2k = math.sqrt(2.0 * k)
     ys = lam / sqrt2k - z
     sup_scaled = _sup(ys)
@@ -442,18 +443,13 @@ def sweep(
     seed, workers, confidence) and every grid point's n, k and c are
     checked before ``out`` is opened: each n, like trials, seed and workers,
     must be an integer (``errors.check_integer``; 2.0 is rejected, not
-    converted), while k and c are taken through ``float``.  The grid is
-    read once, so one-shot iterables give every point.  If ``out`` is
-    given, rows are written and flushed incrementally so a per-point
-    failure leaves all completed rows on disk (the exception is then
-    re-raised).
+    converted), and each k and c a real in its domain (``errors.check_real``;
+    a str or bool is rejected), taken as a float once checked.  The grid is
+    read once, so one-shot iterables give every point.  If ``out`` is given,
+    rows are written and flushed incrementally so a per-point failure leaves
+    all completed rows on disk (the exception is then re-raised).
     """
-    ns = list(ns)
-    try:
-        ks = [float(k) for k in ks]
-        cs = [float(c) for c in cs]
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidConfig(f"grid value not a number: {exc}") from exc
+    ns, ks, cs = list(ns), list(ks), list(cs)
     check_trials(trials)
     check_seed(seed)
     check_workers(workers)
@@ -461,8 +457,10 @@ def sweep(
     for n in ns:
         check_size(n)
     for k in ks:
-        for c in cs:
-            _bounds.cor_eps(k, c)
+        _bounds.cor_eps(k, 1.0)  # k > 1, the log threshold's domain
+    for c in cs:
+        check_threshold(c, "c")
+    ks, cs = [float(k) for k in ks], [float(c) for c in cs]
     lines = _sweep_header(trials, seed, workers, confidence)
     handle = open(out, "w") if out is not None else None
     try:

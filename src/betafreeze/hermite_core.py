@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -31,6 +31,7 @@ from .errors import (
     check_integer,
     check_k,
     check_n,
+    check_real,
     check_size,
 )
 
@@ -79,14 +80,6 @@ class HermiteZeros:
             raise InvalidConfig("zeros must be a length-n vector")
         if not np.all(np.diff(z) < 0):
             raise DegenerateInput("zeros must be strictly descending")
-
-
-@dataclass(frozen=True)
-class StirlingRemainder:
-    """The remainder mu(x) = lnGamma(x) - [ln(2 pi)/2 + (x - 1/2) ln x - x]."""
-
-    x: float
-    mu: float
 
 
 def _as_zero_vector(z) -> np.ndarray:
@@ -146,6 +139,7 @@ def hermite_eval(n: int, x: float) -> tuple[ScaledReal, ScaledReal]:
     vanishes and relative accuracy is meaningless.
     """
     check_integer(n, "order", 0)
+    check_real(x, "x")
     if n == 0:
         return ScaledReal(1.0, 0.0), ScaledReal(0.0, -math.inf)
     xv = np.asarray([float(x)])
@@ -284,7 +278,7 @@ _BOOST_CUTOFF = 16.0
 
 
 def _mu_vec(x: np.ndarray) -> np.ndarray:
-    """Vectorized mu(x) for x > 0.
+    """Vectorized mu(x) for x > 0, which the callers check.
 
     Direct lnGamma subtraction cancels catastrophically for large x (mu is
     ~1/(12x) while lnGamma grows like x ln x), so the argument is boosted
@@ -293,8 +287,6 @@ def _mu_vec(x: np.ndarray) -> np.ndarray:
     Validated at 6.4e-14 worst relative error against a 60-digit oracle.
     """
     t = np.array(x, dtype=float, copy=True)
-    if np.any(t <= 0.0):
-        raise InvalidConfig("mu(x) requires x > 0")
     shift = np.zeros_like(t)
     while True:
         mask = t < _BOOST_CUTOFF
@@ -311,18 +303,6 @@ def _mu_vec(x: np.ndarray) -> np.ndarray:
     return s + shift
 
 
-def stirling_mu(x: float) -> StirlingRemainder:
-    """mu(x) = lnGamma(x) - ln(2 pi)/2 - (x - 1/2) ln x + x, for x >= 1.
-
-    The two-sided bound 1/(12x) - 1/(360x^3) < mu(x) < 1/(12x) holds for all
-    x > 1 (and by continuity the value at x = 1 is also computed).
-    """
-    xf = float(x)
-    if not xf >= 1.0:
-        raise InvalidConfig(f"stirling_mu requires x >= 1, got {x}")
-    return StirlingRemainder(x=xf, mu=float(_mu_vec(np.asarray([xf]))[0]))
-
-
 def stirling_bound_margins(x) -> tuple[np.ndarray, np.ndarray]:
     """Margins (mu - lower_bound, upper_bound - mu) of the two-sided bound.
 
@@ -331,11 +311,12 @@ def stirling_bound_margins(x) -> tuple[np.ndarray, np.ndarray]:
     margin_hi = x^-3/360 - x^-5/1260 + ...); a direct float subtraction there
     would be sub-ulp and undecidable beyond x ~ 2500.  Below 16 the direct
     subtraction is used (the margins are >= ~1e-7 relative there, far above
-    rounding).  Both margins are strictly positive for all x > 1.
+    rounding).  Both margins are strictly positive for all finite x > 1.
     """
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(xv <= 1.0):
-        raise InvalidConfig("bound margins are defined for x > 1")
+    xv = np.atleast_1d(np.asarray(x))
+    if xv.dtype.kind not in "iuf" or not np.all((xv > 1) & np.isfinite(xv)):
+        raise InvalidConfig("bound margins are defined for finite x > 1")
+    xv = xv.astype(float, copy=False)
     lo_m = np.empty_like(xv)
     hi_m = np.empty_like(xv)
 
@@ -373,8 +354,7 @@ def exponent_M(N: int, k: float) -> float:
     """
     check_n(N, "N")
     check_k(k)
-    if k < 1.0:
-        raise InvalidConfig(f"k must be >= 1, got {k}")
+    check_real(k, "k", 1.0, closed_low=True)
     mu_k = _mu_vec(np.asarray([k]))[0]
     mu_tail = _mu_vec(k * np.arange(2, N + 1, dtype=float))
     return float((N - 1) * mu_k - np.sum(mu_tail))
@@ -383,13 +363,11 @@ def exponent_M(N: int, k: float) -> float:
 __all__ = [
     "ScaledReal",
     "HermiteZeros",
-    "StirlingRemainder",
     "hermite_eval",
     "compute_zeros",
     "fixed_point_residual",
     "potential_identity_gap",
     "log_norm_const",
-    "stirling_mu",
     "stirling_bound_margins",
     "exponent_M",
 ]

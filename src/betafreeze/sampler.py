@@ -36,11 +36,11 @@ _CHI_VAR_SERIES_FROM = 20.0
 
 
 def _checked_dof(df) -> np.ndarray:
-    """``df`` as a float array, each entry positive and finite."""
-    df = np.asarray(df, dtype=float)
-    if not np.all((df > 0.0) & np.isfinite(df)):
-        raise InvalidConfig("degrees of freedom must be positive and finite")
-    return df
+    """``df`` as a float array of numbers, each positive and finite."""
+    df = np.asarray(df)
+    if df.dtype.kind not in "iuf" or not np.all((df > 0) & np.isfinite(df)):
+        raise InvalidConfig("degrees of freedom must be positive finite numbers")
+    return df.astype(float, copy=False)
 
 
 def sample_chi(rng: np.random.Generator, df, size=None):
@@ -55,7 +55,10 @@ def sample_chi(rng: np.random.Generator, df, size=None):
     if size is not None and df.size == 1:
         # NumPy's scalar-shape loop draws the same stream, faster.
         df = df.reshape(())
-    out = rng.gamma(df / 2.0, 2.0, size=size)
+    try:
+        out = rng.gamma(df / 2.0, 2.0, size=size)
+    except (TypeError, ValueError) as exc:
+        raise InvalidConfig(f"size {size!r} does not fit df: {exc}") from exc
     if size is None and np.ndim(out) == 0:
         return math.sqrt(out)
     return np.sqrt(out, out=out)
@@ -187,7 +190,8 @@ def mh_oracle_chain(
     check_n(n)
     if n > 3:
         raise InvalidConfig("the oracle is restricted to n in {2, 3}")
-    if not 0.0 < k <= 10.0:
+    check_k(k)
+    if k > 10.0:
         raise InvalidConfig("the oracle is restricted to k <= 10")
     check_trials(draws, "draws")
 

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DegenerateInput, FactorizationFailure, InvalidConfig, check_n
+from .errors import (DegenerateInput, FactorizationFailure, InvalidConfig,
+                     check_integer, check_n)
 from .hermite_core import HermiteZeros, _as_zero_vector
 
 
@@ -134,6 +135,7 @@ def sample_gaussian_limit(
     if size is None:
         g = rng.standard_normal(p.n)
         return p.chol_cov @ g
+    check_integer(size, "size", 0)
     g = rng.standard_normal((size, p.n))
     return g @ p.chol_cov.T
 

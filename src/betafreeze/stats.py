@@ -48,6 +48,7 @@ class RunningMoments:
     """
 
     def __init__(self, dim: int):
+        check_integer(dim, "dim", 1)
         self.count = 0
         self.mean = np.zeros(dim)
         self.m2 = np.zeros((dim, dim))

@@ -262,7 +262,10 @@ def test_acceptance_12_byte_identical_cli(tmp_path):
         r = subprocess.run([sys.executable, "-m", "betafreeze", *args],
                            capture_output=True, text=True, env=env)
         assert r.returncode == 0, r.stderr
-        return open(out).read() if out else r.stdout
+        if not out:
+            return r.stdout
+        with open(out) as handle:
+            return handle.read()
 
     with timer() as t:
         grid = tmp_path / "grid.json"

@@ -114,9 +114,11 @@ def test_tail_writes_file_and_is_deterministic(tmp_path):
             "--out", out)
     r = run_cli(*args)
     assert r.returncode == 0
-    first = open(out).read()
+    with open(out) as handle:
+        first = handle.read()
     run_cli(*args)
-    assert open(out).read() == first
+    with open(out) as handle:
+        assert handle.read() == first
     header, row = first.strip().split("\n")
     assert header == ("n,k,norm,eps,trials,seed,workers,confidence,"
                       "hits,p_hat,ci_low,ci_high")

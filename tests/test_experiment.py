@@ -431,7 +431,8 @@ def test_sweep_partial_flush_on_failure(tmp_path, monkeypatch):
     monkeypatch.setattr(experiment, "estimate_tail_l2", failing)
     with pytest.raises(ConvergenceFailure):
         bf.sweep([2], [100.0, 200.0], [1.0], trials=500, seed=4, out=out)
-    lines = open(out).read().strip().split("\n")
+    with open(out) as handle:
+        lines = handle.read().strip().split("\n")
     assert lines[2] == SWEEP_COLUMNS
     assert len(lines) == 4  # header + the one completed row
     assert lines[3].split(",")[0] == "2"
@@ -484,7 +485,8 @@ def test_norms_match_axis_reductions_bit_for_bit(n):
 def test_sweep_writes_file_and_returns_same_text(tmp_path):
     out = str(tmp_path / "sweep.csv")
     text = bf.sweep([2], [50.0], [1.0], trials=1000, seed=12, out=out)
-    assert open(out).read() == text
+    with open(out) as handle:
+        assert handle.read() == text
 
 
 def test_tighter_indicator_rule():
