@@ -11,6 +11,9 @@ This package provides:
 - explicit finite-k tail bounds and baselines (bounds)
 - reproducible Monte Carlo experiments and sweeps (experiment)
 
+Every name exported here is used by the command line, the benchmark in
+``perfbench/``, the acceptance tests or another module of the package.
+
 Eigenvalues of the tridiagonal model come from ``betafreeze._core.eigvals_batch``:
 the exact 2 x 2 formula at N = 2, certified Newton refinement of the
 first-order term in the frozen regime, and batched dense LAPACK ``eigvalsh``
@@ -31,7 +34,6 @@ from .bounds import (
 )
 from .errors import (
     BetafreezeError,
-    ConditionViolated,
     ConvergenceFailure,
     DegenerateInput,
     FactorizationFailure,
@@ -45,17 +47,13 @@ from .experiment import (
     estimate_tail_l2,
     estimate_tail_sup,
     gaussian_reference_tail,
-    per_trial_norms,
     sweep,
 )
 from .hermite_core import (
     HermiteZeros,
-    ScaledReal,
     compute_zeros,
     exponent_M,
     fixed_point_residual,
-    hermite_eval,
-    log_norm_const,
     potential_identity_gap,
     stirling_bound_margins,
 )
@@ -73,7 +71,6 @@ from .spectral import (
     build_precision,
     inverse_power_sum,
     min_gap,
-    sample_gaussian_limit,
     spectrum_deviation,
 )
 from .stats import RunningMoments, clopper_pearson
@@ -89,15 +86,11 @@ __all__ = [
     "ConvergenceFailure",
     "DegenerateInput",
     "FactorizationFailure",
-    "ConditionViolated",
     # hermite_core
     "HermiteZeros",
-    "ScaledReal",
     "compute_zeros",
     "fixed_point_residual",
     "potential_identity_gap",
-    "hermite_eval",
-    "log_norm_const",
     "stirling_bound_margins",
     "exponent_M",
     # spectral
@@ -106,7 +99,6 @@ __all__ = [
     "spectrum_deviation",
     "inverse_power_sum",
     "min_gap",
-    "sample_gaussian_limit",
     # sampler
     "sample_chi",
     "chi_variance",
@@ -136,7 +128,6 @@ __all__ = [
     "estimate_tail_sup",
     "clt_covariance_test",
     "gaussian_reference_tail",
-    "per_trial_norms",
     "sweep",
     # rng
     "default_seed",

@@ -29,13 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    ConditionViolated,
-    check_k,
-    check_n,
-    check_real,
-    check_threshold,
-)
+from .errors import check_k, check_n, check_real, check_threshold
 
 _HALF_LN_E = 0.5  # ln sqrt(e)
 
@@ -48,8 +42,6 @@ class BoundBreakdown:
     is its projection onto [0, 1] for probability semantics.  ``condition_ok``
     records whether (N, k, eps) lies in the validity window; the breakdown is
     still reported when it does not (sweeps plot the raw curve).
-    ``log_e_factor`` carries the exact log of ``e_factor`` (which may
-    underflow to 0.0 as a float).
     """
 
     term_quartic: float
@@ -59,20 +51,25 @@ class BoundBreakdown:
     total: float
     total_clamped: float
     condition_ok: bool
-    log_e_factor: float
 
 
-def _validate_nke(N: int, k: float, eps: float) -> None:
+# Each check returns its reals as Python floats: a Python int whose square
+# leaves float range would raise OverflowError in the products below, and an
+# np.float32 would be multiplied in float32.
+
+def _validate_nke(N: int, k: float, eps: float) -> tuple[float, float]:
     check_n(N, "N")
     check_k(k)
     check_real(k, "k", 1.0, closed_low=True)
     check_threshold(eps)
+    return float(k), float(eps)
 
 
-def _validate_log_threshold(k: float, c: float) -> None:
+def _validate_log_threshold(k: float, c: float) -> tuple[float, float]:
     check_k(k)
     check_real(k, "k", 1.0)
     check_threshold(c, "c")
+    return float(k), float(c)
 
 
 def _exp(x: float) -> float:
@@ -88,7 +85,7 @@ def prop_condition(N: int, k: float, eps: float) -> bool:
 
     The window is nonempty iff k >= 2N(1 + ln N).
     """
-    _validate_nke(N, k, eps)
+    k, eps = _validate_nke(N, k, eps)
     return math.sqrt((1.0 + math.log(N)) / (2.0 * k)) <= eps <= 0.5 / math.sqrt(N)
 
 
@@ -105,7 +102,7 @@ def _term_quartic(N: int, k: float, eps: float) -> float:
 
 def prop_bound(N: int, k: float, eps: float) -> BoundBreakdown:
     """Evaluate the explicit tail bound and its decomposition at (N, k, eps)."""
-    _validate_nke(N, k, eps)
+    k, eps = _validate_nke(N, k, eps)
     tq = _term_quartic(N, k, eps)
     ts = (N - 1) / (26.0 * k)
     log_e = ts - tq
@@ -130,13 +127,12 @@ def prop_bound(N: int, k: float, eps: float) -> BoundBreakdown:
         total=total,
         total_clamped=min(1.0, max(0.0, total)),
         condition_ok=prop_condition(N, k, eps),
-        log_e_factor=log_e,
     )
 
 
 def cor_eps(k: float, c: float) -> float:
     """The threshold eps = c sqrt(ln k / k) used by the log-threshold bound."""
-    _validate_log_threshold(k, c)
+    k, c = _validate_log_threshold(k, c)
     return c * math.sqrt(math.log(k) / k)
 
 
@@ -147,7 +143,7 @@ def cor_condition(N: int, k: float, c: float) -> bool:
     threshold eps = c sqrt(ln k / k).
     """
     check_n(N, "N")
-    _validate_log_threshold(k, c)
+    k, c = _validate_log_threshold(k, c)
     lnk = math.log(k)
     return (
         math.sqrt((1.0 + math.log(N)) / (2.0 * lnk))
@@ -168,6 +164,7 @@ def cor_bound_terms(N: int, k: float, c: float) -> tuple[float, float]:
     """
     check_n(N, "N")
     eps = cor_eps(k, c)
+    k, c = float(k), float(c)
     first = _term_quartic(N, k, eps)
     lnk = math.log(k)
     c2lnk = c * c * lnk
@@ -177,17 +174,12 @@ def cor_bound_terms(N: int, k: float, c: float) -> tuple[float, float]:
     return first, math.exp(log_second) if c2lnk < math.inf else 0.0
 
 
-def cor_bound(N: int, k: float, c: float, enforce_condition: bool = True) -> float:
+def cor_bound(N: int, k: float, c: float) -> float:
     """The log-threshold tail bound at (N, k, c).
 
-    Raises ConditionViolated outside the c-window unless enforce_condition is
-    False (sweeps evaluate the raw curve everywhere and flag validity
-    separately).
+    Like :func:`prop_bound`, it evaluates the formula everywhere; whether
+    (N, k, c) lies in the validity window is :func:`cor_condition`.
     """
-    if enforce_condition and not cor_condition(N, k, c):
-        raise ConditionViolated(
-            f"c={c} outside the validity window for N={N}, k={k}"
-        )
     first, second = cor_bound_terms(N, k, c)
     return first + second
 
@@ -203,6 +195,7 @@ def dette_imhof_bound(N: int, eps_unscaled: float) -> float:
     check_n(N, "N")
     check_real(eps_unscaled, "eps", 0.0, math.inf, closed_low=True,
                closed_high=True)
+    eps_unscaled = float(eps_unscaled)
     return 4.0 * N * math.exp(-eps_unscaled * eps_unscaled / 18.0)
 
 
@@ -214,6 +207,7 @@ def optimize_delta(r: float) -> float:
     r may be infinite, never NaN.
     """
     check_real(r, "r", closed_low=True, closed_high=True)
+    r = float(r)
     if r >= -2.0:
         return 0.0
     return 0.5 + 1.0 / r
@@ -230,6 +224,7 @@ def gaussian_tail_bound(N: int, eps: float) -> float:
     """
     check_n(N, "N")
     check_threshold(eps)
+    eps = float(eps)
     r = -eps * eps - 1.0 + math.log(N)
     delta = optimize_delta(r)
     if delta == 0.0:

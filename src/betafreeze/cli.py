@@ -13,7 +13,7 @@ Subcommands::
 
 Exit codes: 0 success, 2 invalid configuration or arguments, 3 internal
 numerical failure (non-convergence, degenerate input, failed factorization,
-violated validity condition, or a failed ``verify`` check).
+or a failed ``verify`` check).
 
 When ``--seed`` is omitted the seed comes from the ``BETAFREEZE_SEED``
 environment variable, falling back to 0; a seed must be >= 0.  All output
@@ -198,7 +198,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
 def cmd_bounds(args: argparse.Namespace) -> int:
     if args.c is not None:
         eps = _bounds.cor_eps(args.k, args.c)
-        cor = _bounds.cor_bound(args.n, args.k, args.c, enforce_condition=False)
+        cor = _bounds.cor_bound(args.n, args.k, args.c)
     else:
         eps = args.eps
         cor = None

@@ -6,11 +6,12 @@ The ``check_*`` functions are the one definition of each parameter's domain;
 a module that needs a stricter domain adds only that part on top.  Every
 count (n, trials, draws, hits, workers) and every seed is an integer: a
 Python or NumPy integer, never a ``bool``, a float (2.0 included) or a
-``str``.  Every scalar real (k, eps, c, confidence, a bound's r, a point x)
-is a Python or NumPy real, never a ``bool``, ``str`` or ``None``, in an
-interval with open or closed ends (:func:`check_real`): never NaN, and
-finite unless an infinite end is closed (eps = inf is the event with no
-hits).  Nothing is truncated or converted on the way in.
+``str``.  Every scalar real (k, eps, c, confidence, a bound's r) is a
+Python or NumPy real, never a ``bool``, ``str`` or ``None``, in an interval
+with open or closed ends (:func:`check_real`): never NaN, and finite unless
+an infinite end is closed (eps = inf is the event with no hits).  Nothing is
+truncated or converted on the way in.  A zero vector is checked by
+``hermite_core._as_zero_vector``: a 1-D array of at least 2 finite numbers.
 """
 
 import math
@@ -24,7 +25,8 @@ _REAL_TYPES = (int, float, np.integer, np.floating)
 #: to it works.  The program forms n x n arrays there (the dense eigensolver,
 #: the precision matrix, the zero identities), and the dense eigensolver's
 #: budget ``_core._DENSE_BUDGET`` is one float64 matrix at this n (32 MB).
-#: The bound formulas take any N.
+#: ``hermite_core.exponent_M`` forms an N-array, so its N is held to it too;
+#: the closed-form bounds take any N.
 MAX_N = 2000
 
 
@@ -119,17 +121,12 @@ class FactorizationFailure(BetafreezeError):
     """A matrix factorization failed (input not numerically positive definite)."""
 
 
-class ConditionViolated(BetafreezeError):
-    """A bound was requested outside its validity window."""
-
-
 __all__ = [
     "BetafreezeError",
     "InvalidConfig",
     "ConvergenceFailure",
     "DegenerateInput",
     "FactorizationFailure",
-    "ConditionViolated",
     "MAX_N",
     "check_integer",
     "check_real",

@@ -167,20 +167,6 @@ def _sup(ys: np.ndarray) -> np.ndarray:
     return top
 
 
-def per_trial_norms(lam: np.ndarray, k: float, z: np.ndarray):
-    """(l2_scaled, sup_scaled, sup_unscaled) for each row of ``lam``.
-
-    sup_unscaled is sqrt(2k) * sup_scaled by definition (see module
-    docstring), so that identity is exact; it agrees with the directly
-    computed max|X - sqrt(2k) z| to rounding.
-    """
-    check_k(k)
-    sqrt2k = math.sqrt(2.0 * k)
-    ys = lam / sqrt2k - z
-    sup_scaled = _sup(ys)
-    return _l2(ys), sup_scaled, sqrt2k * sup_scaled
-
-
 def chunk_sizes(trials: int) -> Iterator[int]:
     """Sizes of the batches that ``trials`` trials are drawn in, in order:
     CHUNK each, then the remainder."""
@@ -497,7 +483,7 @@ def _sweep_point(
 ) -> str:
     eps = _bounds.cor_eps(k, c)
     bd = _bounds.prop_bound(n, k, eps)
-    cor = _bounds.cor_bound(n, k, c, enforce_condition=False)
+    cor = _bounds.cor_bound(n, k, c)
     di_eps = math.sqrt(2.0 * k) * eps
     di = _bounds.dette_imhof_bound(n, di_eps)
     cfg = ExperimentConfig(
@@ -520,7 +506,6 @@ __all__ = [
     "TailEstimate",
     "CltReport",
     "ExperimentConfig",
-    "per_trial_norms",
     "estimate_tail_l2",
     "estimate_tail_sup",
     "clt_covariance_test",

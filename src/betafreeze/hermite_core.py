@@ -8,7 +8,6 @@ exposes the exact identities used everywhere downstream:
 * the electrostatic fixed point   z_i = sum_{j != i} 1/(z_i - z_j),
 * the log-potential identity      -|z|^2 + 2 sum_{i<j} ln(z_i - z_j)
                                   = -n(n-1)/2 (1 + ln 2) + sum_j j ln j,
-* the normalization constant of the ensemble density (in log scale),
 * the Stirling remainder mu(x) with its two-sided bound
   1/(12x) - 1/(360x^3) < mu(x) < 1/(12x), and the derived exponent
   M(N, k) = (N-1) mu(k) - sum_{l=2..N} mu(l k) >= (N-1)/(26 k).
@@ -19,7 +18,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -28,7 +26,6 @@ from .errors import (
     ConvergenceFailure,
     DegenerateInput,
     InvalidConfig,
-    check_integer,
     check_k,
     check_n,
     check_real,
@@ -36,25 +33,6 @@ from .errors import (
 )
 
 _LN2 = math.log(2.0)
-_LN_2PI = math.log(2.0 * math.pi)
-
-
-class ScaledReal(NamedTuple):
-    """A real number as (sign, log of absolute value).
-
-    ``sign`` is -1.0, 0.0 or +1.0; ``log_abs`` is -inf when the value is 0.
-    This representation never overflows: H_500(50) has magnitude far beyond
-    float range but its log is a small number.
-    """
-
-    sign: float
-    log_abs: float
-
-    def to_float(self) -> float:
-        """Collapse to a plain float (inf on overflow, 0.0 on underflow)."""
-        if self.sign == 0.0:
-            return 0.0
-        return self.sign * math.exp(self.log_abs)
 
 
 @dataclass(frozen=True)
@@ -72,10 +50,10 @@ class HermiteZeros:
     zeros: np.ndarray
 
     def __post_init__(self):
-        z = np.asarray(self.zeros, dtype=float)
+        check_n(self.n, "order")
+        z = _as_zero_vector(self.zeros)
         z.setflags(write=False)
         object.__setattr__(self, "zeros", z)
-        check_n(self.n, "order")
         if z.shape != (self.n,):
             raise InvalidConfig("zeros must be a length-n vector")
         if not np.all(np.diff(z) < 0):
@@ -83,10 +61,20 @@ class HermiteZeros:
 
 
 def _as_zero_vector(z) -> np.ndarray:
-    """Accept a HermiteZeros or a plain descending vector."""
+    """The zeros of a HermiteZeros, or ``z`` checked as a zero vector: a
+    1-D array of at least 2 finite numbers (a numeric dtype, not bool),
+    taken as floats.  The one check of every zero vector that comes in."""
     if isinstance(z, HermiteZeros):
         return z.zeros
-    return np.asarray(z, dtype=float)
+    try:
+        zv = np.asarray(z)
+    except ValueError:  # a ragged sequence
+        zv = np.empty(0)
+    if (zv.dtype.kind not in "iuf" or zv.ndim != 1 or zv.size < 2
+            or not np.all(np.isfinite(zv))):
+        raise InvalidConfig(
+            "a zero vector must be a 1-D array of at least 2 finite numbers")
+    return zv.astype(float, copy=False)
 
 
 # ----------------------------------------------------------------------
@@ -121,34 +109,6 @@ def _scaled_recurrence(n: int, x: np.ndarray):
         f_prev, e_prev = f_cur, e_cur
         f_cur, e_cur = f_new, e_new
     return f_prev, e_prev, f_cur, e_cur
-
-
-def _pair_to_scaled(f: float, e: float, extra_factor: float = 1.0) -> ScaledReal:
-    v = f * extra_factor
-    if v == 0.0:
-        return ScaledReal(0.0, -math.inf)
-    return ScaledReal(math.copysign(1.0, v), math.log(abs(v)) + float(e) * _LN2)
-
-
-def hermite_eval(n: int, x: float) -> tuple[ScaledReal, ScaledReal]:
-    """Evaluate H_n(x) and H_n'(x) = 2n H_{n-1}(x) in scaled form.
-
-    The sign is exact; the log-magnitude carries the value's full relative
-    accuracy (about n accumulated rounding steps, ~1e-13 at n = 500) except
-    in the immediate neighbourhood of a zero of H_n, where the value itself
-    vanishes and relative accuracy is meaningless.
-    """
-    check_integer(n, "order", 0)
-    check_real(x, "x")
-    if n == 0:
-        return ScaledReal(1.0, 0.0), ScaledReal(0.0, -math.inf)
-    xv = np.asarray([float(x)])
-    f_prev, e_prev, f_cur, e_cur = _scaled_recurrence(n, xv)
-    value = _pair_to_scaled(float(f_cur[0]), float(e_cur[0]))
-    # H_n' = 2n * H_{n-1}: fold 2n into the mantissa, frexp renormalizes.
-    df, de = math.frexp(2.0 * n * float(f_prev[0]))
-    derivative = _pair_to_scaled(df, float(e_prev[0]) + de)
-    return value, derivative
 
 
 def _newton_ratio(n: int, x: np.ndarray) -> np.ndarray:
@@ -244,22 +204,6 @@ def potential_identity_gap(z) -> float:
 
 
 # ----------------------------------------------------------------------
-# Normalization constant
-# ----------------------------------------------------------------------
-
-def log_norm_const(N: int, k: float) -> float:
-    """ln of the ensemble normalization constant, entirely in log scale.
-
-    ln c = ln N! - (N/2) ln(2 pi) + sum_{j=1..N} [lnGamma(1+k) - lnGamma(1+jk)].
-    """
-    check_n(N, "N")
-    check_k(k)
-    total = math.lgamma(N + 1) - 0.5 * N * _LN_2PI + N * math.lgamma(1.0 + k)
-    total -= math.fsum(math.lgamma(1.0 + j * k) for j in range(1, N + 1))
-    return total
-
-
-# ----------------------------------------------------------------------
 # Stirling remainder
 # ----------------------------------------------------------------------
 
@@ -350,9 +294,10 @@ def exponent_M(N: int, k: float) -> float:
 
     This is the exponent governing how much of the ensemble's normalization
     survives the freezing rescaling; the 1/26 lower bound is the constant
-    used by the explicit tail estimate.
+    used by the explicit tail estimate.  N is at most ``errors.MAX_N``: the
+    sum forms an N-array.
     """
-    check_n(N, "N")
+    check_size(N, "N")
     check_k(k)
     check_real(k, "k", 1.0, closed_low=True)
     mu_k = _mu_vec(np.asarray([k]))[0]
@@ -361,13 +306,10 @@ def exponent_M(N: int, k: float) -> float:
 
 
 __all__ = [
-    "ScaledReal",
     "HermiteZeros",
-    "hermite_eval",
     "compute_zeros",
     "fixed_point_residual",
     "potential_identity_gap",
-    "log_norm_const",
     "stirling_bound_margins",
     "exponent_M",
 ]

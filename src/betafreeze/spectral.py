@@ -27,8 +27,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (DegenerateInput, FactorizationFailure, InvalidConfig,
-                     check_integer, check_n)
-from .hermite_core import HermiteZeros, _as_zero_vector
+                     check_integer)
+from .hermite_core import _as_zero_vector
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,6 @@ def build_precision(z) -> PrecisionSpectralPair:
     """
     zv = _as_zero_vector(z)
     n = zv.size
-    check_n(n, "number of points")
     w = _pairwise_inverse_squares(zv)
     S = -w
     idx = np.arange(n)
@@ -98,6 +97,9 @@ def spectrum_deviation(p: PrecisionSpectralPair) -> float:
     The spectrum of S is exactly the integers 1..n, so this deviation
     measures the combined zero error and eigensolver error.
     """
+    if not isinstance(p, PrecisionSpectralPair):
+        raise InvalidConfig(
+            f"expected a PrecisionSpectralPair, got {type(p).__name__}")
     target = np.arange(1, p.n + 1, dtype=float)
     return float(np.max(np.abs(p.eigenvalues - target)))
 
@@ -109,6 +111,7 @@ def inverse_power_sum(z, p: int) -> float:
     the p = 2 sum equals n(n-1)/2 exactly and the p = 4 sum is bounded by
     n(n-1)(2n-1)/12 (with equality at n = 2).
     """
+    check_integer(p, "p", 2)
     if p not in (2, 4):
         raise InvalidConfig(f"p must be 2 or 4, got {p}")
     zv = _as_zero_vector(z)
@@ -124,27 +127,10 @@ def min_gap(z) -> float:
     return float(np.min(zv[:-1] - zv[1:]))
 
 
-def sample_gaussian_limit(
-    p: PrecisionSpectralPair, rng: np.random.Generator, size: int | None = None
-) -> np.ndarray:
-    """Draw from the limit Gaussian N(0, S^-1) as L g with g standard normal.
-
-    With ``size`` given, returns a (size, n) array of independent draws.
-    Deterministic for a fixed generator state.
-    """
-    if size is None:
-        g = rng.standard_normal(p.n)
-        return p.chol_cov @ g
-    check_integer(size, "size", 0)
-    g = rng.standard_normal((size, p.n))
-    return g @ p.chol_cov.T
-
-
 __all__ = [
     "PrecisionSpectralPair",
     "build_precision",
     "spectrum_deviation",
     "inverse_power_sum",
     "min_gap",
-    "sample_gaussian_limit",
 ]

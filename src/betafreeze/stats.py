@@ -54,9 +54,11 @@ class RunningMoments:
         self.m2 = np.zeros((dim, dim))
 
     def add_batch(self, y: np.ndarray) -> None:
-        y = np.asarray(y, dtype=float)
-        if y.ndim != 2 or y.shape[1] != self.mean.size:
-            raise InvalidConfig("batch must be (m, dim)")
+        y = np.asarray(y)
+        if (y.dtype.kind not in "iuf" or y.ndim != 2
+                or y.shape[1] != self.mean.size):
+            raise InvalidConfig("batch must be an (m, dim) array of numbers")
+        y = y.astype(float, copy=False)
         m = y.shape[0]
         if m == 0:
             return

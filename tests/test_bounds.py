@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import betafreeze as bf
 from betafreeze.cli import main
-from betafreeze.errors import ConditionViolated, InvalidConfig
+from betafreeze.errors import InvalidConfig
 
 
 # mpmath (60 digits) evaluation of the breakdown terms.
@@ -51,7 +51,7 @@ def test_breakdown_internal_consistency():
     # the recorded fields recombine bitwise into the recorded total
     assert bd.total == bd.term_quartic - bd.term_stirling + bd.term_gaussian
     assert bd.total_clamped == min(1.0, max(0.0, bd.total))
-    assert bd.e_factor == math.exp(bd.log_e_factor)
+    assert bd.e_factor == math.exp(bd.term_stirling - bd.term_quartic)
     assert bd.condition_ok == bf.prop_condition(4, 5e3, 0.04)
 
 
@@ -70,7 +70,7 @@ def test_cor_bound_oracle(args, want):
     got_first, got_second = bf.cor_bound_terms(*args)
     assert got_first == pytest.approx(first, rel=1e-12)
     assert got_second == pytest.approx(second, rel=1e-12)
-    assert bf.cor_bound(*args, enforce_condition=False) == pytest.approx(
+    assert bf.cor_bound(*args) == pytest.approx(
         total, rel=1e-12
     )
 
@@ -98,16 +98,17 @@ def test_cor_second_summand_is_coarsened_gaussian_term():
             assert second >= bd.term_gaussian
 
 
-def test_cor_bound_window_enforcement():
+def test_cor_bound_evaluates_outside_the_window():
     # (2, 1e4, 1) satisfies the window; a huge c breaks the upper edge.
+    # Like prop_bound, cor_bound evaluates the formula on both sides, and
+    # validity is read from cor_condition.
     assert bf.cor_condition(2, 1e4, 1.0)
     val = bf.cor_bound(2, 1e4, 1.0)
     assert val == pytest.approx(0.72708775096072034045, rel=1e-12)
     assert not bf.cor_condition(2, 1e4, 25.0)
-    with pytest.raises(ConditionViolated):
-        bf.cor_bound(2, 1e4, 25.0)
-    # enforce_condition=False evaluates the raw expression anyway
-    assert math.isfinite(bf.cor_bound(2, 1e4, 25.0, enforce_condition=False))
+    outside = bf.cor_bound(2, 1e4, 25.0)
+    assert math.isfinite(outside)
+    assert outside == sum(bf.cor_bound_terms(2, 1e4, 25.0))
 
 
 def test_cor_condition_matches_eps_window():
@@ -257,17 +258,17 @@ def test_quartic_term_at_extreme_scales():
         bd = bf.prop_bound(2, 1e4, eps)
         assert bd.term_quartic == bd.total == math.inf
         assert bd.total_clamped == 1.0
-    assert bf.cor_bound(2, 1e4, 1e200, enforce_condition=False) == math.inf
+    assert bf.cor_bound(2, 1e4, 1e200) == math.inf
 
 
 @pytest.mark.parametrize("call", [
     lambda: bf.cor_eps(math.inf, 1.0),
-    lambda: bf.cor_bound(2, math.inf, 1.0, enforce_condition=False),
+    lambda: bf.cor_bound(2, math.inf, 1.0),
     lambda: bf.prop_bound(2, math.inf, 0.1),
     lambda: bf.cor_condition(2, math.inf, 1.0),
     lambda: bf.cor_condition(2, 1e4, math.inf),
     lambda: bf.gaussian_tail_bound(2, math.inf),
-    lambda: bf.cor_bound(0, 1e4, 1.0, enforce_condition=False),
+    lambda: bf.cor_bound(0, 1e4, 1.0),
 ], ids=["cor_eps", "cor_bound", "prop_bound", "cor_condition_k",
         "cor_condition_c", "gaussian_tail_bound", "cor_bound_n"])
 def test_nonfinite_or_out_of_domain_rejected(call):
@@ -333,19 +334,17 @@ def test_bounds_never_nan_and_raise_only_domain_errors(N, k, eps, c):
         lambda: bf.prop_bound(N, k, eps),
         lambda: bf.cor_eps(k, c),
         lambda: bf.cor_bound(N, k, c),
-        lambda: bf.cor_bound(N, k, c, enforce_condition=False),
         lambda: bf.gaussian_tail_bound(N, eps),
         lambda: bf.dette_imhof_bound(N, eps),
     )
     for call in calls:
         try:
             value = call()
-        except (InvalidConfig, ConditionViolated):
+        except InvalidConfig:
             continue
         if isinstance(value, bf.BoundBreakdown):
             fields = (value.term_quartic, value.term_stirling, value.e_factor,
-                      value.term_gaussian, value.total, value.total_clamped,
-                      value.log_e_factor)
+                      value.term_gaussian, value.total, value.total_clamped)
             assert not any(math.isnan(v) for v in fields)
             assert 0.0 <= value.total_clamped <= 1.0
         else:

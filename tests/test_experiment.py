@@ -65,8 +65,13 @@ def test_per_trial_norm_identities(zeros_cache):
     n, k = 4, 7.0
     z = zeros_cache(n).zeros
     lam = bf.sample_eigenvalue_batch(n, k, bf.master_stream(3), 1000)
-    l2s, sups, supu = bf.per_trial_norms(lam, k, z)
     sqrt2k = math.sqrt(2.0 * k)
+    ys = lam / sqrt2k - z
+    l2s, sups = experiment._l2(ys), experiment._sup(ys)
+    supu = sqrt2k * sups
+    np.testing.assert_allclose(l2s, np.linalg.norm(ys, axis=1),
+                               rtol=1e-15, atol=0)
+    np.testing.assert_array_equal(sups, np.max(np.abs(ys), axis=1))
     # the unscaled sup norm is sqrt(2k) times the scaled one, bit for bit
     np.testing.assert_array_equal(supu, sqrt2k * sups)
     # and agrees with the directly computed unscaled residual to rounding
@@ -129,7 +134,8 @@ def test_tail_matches_manual_partition(zeros_cache):
         while remaining > 0:
             m = min(CHUNK, remaining)
             lam = bf.sample_eigenvalue_batch(n, k, rng, m)
-            l2s, _, _ = bf.per_trial_norms(lam, k, z)
+            ys = lam / math.sqrt(2.0 * k) - z
+            l2s = np.sqrt(np.sum(ys * ys, axis=1))
             hits += int(np.count_nonzero(l2s > eps))
             remaining -= m
     assert est.hits == hits
@@ -394,7 +400,7 @@ def test_sweep_row_consistent_with_direct_calls(zeros_cache):
     assert float(row[9]) == bd.term_quartic
     assert float(row[14]) == bd.total_clamped
     assert row[15] == ("true" if bd.condition_ok else "false")
-    assert float(row[16]) == bf.cor_bound(n, k, c, enforce_condition=False)
+    assert float(row[16]) == bf.cor_bound(n, k, c)
     di_eps = math.sqrt(2.0 * k) * eps
     assert float(row[17]) == di_eps
     assert float(row[18]) == bf.dette_imhof_bound(n, di_eps)

@@ -1,4 +1,4 @@
-"""Hermite polynomial evaluation, zeros, identities, Stirling remainder.
+"""Hermite recurrence, zeros, identities, Stirling remainder.
 
 Oracles: exact integer/rational recurrences (Fraction), mpmath at 60 digits,
 and closed forms for small orders.  Frozen constants below were generated
@@ -11,12 +11,13 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import betafreeze as bf
 from betafreeze import hermite_core
-from betafreeze.errors import ConvergenceFailure, DegenerateInput, InvalidConfig
+from betafreeze.errors import (MAX_N, ConvergenceFailure, DegenerateInput,
+                              InvalidConfig)
 
 mp.mp.dps = 60
 
@@ -31,60 +32,35 @@ def hermite_exact(n: int, x: Fraction) -> Fraction:
     return h_cur
 
 
-def log_abs_fraction(f: Fraction) -> float:
-    return float(mp.log(mp.mpf(abs(f.numerator))) - mp.log(mp.mpf(f.denominator)))
-
-
 # ----------------------------------------------------------------------
-# hermite_eval
+# the scaled recurrence, through the Newton step H_n / H_n'
 # ----------------------------------------------------------------------
 
+def newton_ratio(n: int, x: float) -> float:
+    return float(hermite_core._newton_ratio(n, np.asarray([x]))[0])
+
+
+# H_{n-1} is nonzero at every (n, x) here, so each ratio is finite.
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 25, 40])
 @pytest.mark.parametrize(
-    "x", [Fraction(-3), Fraction(-1), Fraction(-1, 2), Fraction(0),
+    "x", [Fraction(-3), Fraction(-1), Fraction(-1, 2), Fraction(5, 2),
           Fraction(1, 4), Fraction(1), Fraction(7, 2)]
 )
 def test_eval_matches_exact_recurrence(n, x):
-    exact = hermite_exact(n, x)
-    exact_deriv = 2 * n * hermite_exact(n - 1, x)
-    value, deriv = bf.hermite_eval(n, float(x))
-    for got, want in ((value, exact), (deriv, exact_deriv)):
-        if want == 0:
-            assert got.sign == 0.0 and got.log_abs == -math.inf
-            assert got.to_float() == 0.0
-        else:
-            assert got.sign == (1.0 if want > 0 else -1.0)
-            assert got.log_abs == pytest.approx(
-                log_abs_fraction(want), rel=0, abs=5e-12 * max(1, n)
-            )
+    want = hermite_exact(n, x) / (2 * n * hermite_exact(n - 1, x))
+    assert newton_ratio(n, float(x)) == pytest.approx(float(want), rel=1e-13)
 
 
 def test_eval_parity_at_origin():
+    # H_{2m+1}(0) = 0 while H_{2m}(0) != 0, so the step is exactly 0 there;
+    # H_n(-x) = (-1)^n H_n(x) makes the step odd in x, bit for bit.
+    xs = np.array([0.25, 1.0, 3.5, 7.75])
     for m in range(0, 21):
-        value, _ = bf.hermite_eval(2 * m + 1, 0.0)
-        assert value.sign == 0.0 and value.to_float() == 0.0
-        value, _ = bf.hermite_eval(2 * m, 0.0)
-        # H_{2m}(0) = (-1)^m (2m)! / m!
-        want = Fraction((-1) ** m * math.factorial(2 * m), math.factorial(m))
-        assert value.sign == (1.0 if want > 0 else -1.0)
-        assert value.log_abs == pytest.approx(
-            log_abs_fraction(want), rel=0, abs=1e-12
-        )
-
-
-def test_eval_order_zero_and_invalid():
-    value, deriv = bf.hermite_eval(0, 3.7)
-    assert value.to_float() == 1.0
-    assert deriv.to_float() == 0.0
-    with pytest.raises(InvalidConfig):
-        bf.hermite_eval(-1, 0.0)
-
-
-def test_scaled_real_round_trip():
-    value, _ = bf.hermite_eval(12, 1.75)
-    assert value.to_float() == pytest.approx(
-        value.sign * math.exp(value.log_abs), rel=1e-15
-    )
+        assert newton_ratio(2 * m + 1, 0.0) == 0.0
+        for n in (2 * m + 1, 2 * m + 2):
+            np.testing.assert_array_equal(
+                hermite_core._newton_ratio(n, -xs),
+                -hermite_core._newton_ratio(n, xs))
 
 
 @settings(max_examples=60, deadline=None)
@@ -99,18 +75,17 @@ def test_eval_against_float_recurrence(n, x):
     for m in range(1, n):
         h_prev, h_cur = h_cur, 2.0 * x * h_cur - 2.0 * m * h_prev
     assert math.isfinite(h_cur)
-    value, _ = bf.hermite_eval(n, x)
-    got = value.to_float()
-    scale = max(abs(h_cur), abs(h_prev), 1e-300)
-    assert got == pytest.approx(h_cur, rel=0, abs=1e-9 * scale)
+    # Off the zeros of H_{n-1}, where the step is a float (|h_cur| < 1e72).
+    assume(abs(h_prev) > 1e-200)
+    want = h_cur / (2.0 * n * h_prev)
+    assert newton_ratio(n, x) == pytest.approx(want, rel=1e-14, abs=0)
 
 
 def test_eval_no_overflow_at_large_order():
-    # Plain float recurrence overflows near n ~ 180 at x = 8; scaled form
-    # must stay finite and meaningful.
-    value, deriv = bf.hermite_eval(500, 8.0)
-    assert math.isfinite(value.log_abs) and abs(value.sign) == 1.0
-    assert math.isfinite(deriv.log_abs)
+    # Plain float recurrence overflows near n ~ 180 at x = 8; the scaled
+    # form stays accurate.
+    want = mp.hermite(500, 8) / (1000 * mp.hermite(499, 8))
+    assert newton_ratio(500, 8.0) == pytest.approx(float(want), rel=1e-12)
 
 
 # ----------------------------------------------------------------------
@@ -220,23 +195,8 @@ def test_potential_gap_detects_perturbation(zeros_cache):
 
 
 # ----------------------------------------------------------------------
-# normalization constant and Stirling remainder
+# Stirling remainder
 # ----------------------------------------------------------------------
-
-# mpmath (60 digits): lgamma(N+1) - N/2 ln(2 pi) + N lgamma(1+k)
-#                     - sum_{j<=N} lgamma(1+jk)
-LOG_NORM_ORACLE = [
-    ((3, 2.5), -12.899867925774858481),
-    ((5, 1.0), -10.257653146159309639),
-    ((2, 10000.0), -95967.838630270196258),
-    ((10, 0.5), -13.519672131887562947),
-]
-
-
-@pytest.mark.parametrize("args,want", LOG_NORM_ORACLE)
-def test_log_norm_const_oracle(args, want):
-    assert bf.log_norm_const(*args) == pytest.approx(want, rel=1e-13)
-
 
 # mpmath (60 digits): mu(x) = loggamma(x) - (x - 1/2) ln x + x - ln(2 pi)/2
 STIRLING_ORACLE = [
@@ -317,13 +277,12 @@ def test_exponent_m_validation():
         bf.exponent_M(3, 0.5)
     with pytest.raises(InvalidConfig):
         bf.exponent_M(3, math.inf)
-
-
-def test_log_norm_const_rejects_nonfinite_k():
-    # log_norm_const(2, inf) returned NaN.
-    for k in (math.inf, math.nan, 0.0):
-        with pytest.raises(InvalidConfig):
-            bf.log_norm_const(2, k)
+    # N is held to MAX_N: 10**400 raised NumPy's ValueError, and 10**9
+    # would have allocated 8 GB.
+    bf.exponent_M(MAX_N, 2.0)
+    for N in (MAX_N + 1, 10**9, 10**400):
+        with pytest.raises(InvalidConfig, match="N must be <= 2000"):
+            bf.exponent_M(N, 2.0)
 
 
 @settings(max_examples=50, deadline=None)

@@ -5,7 +5,8 @@ included) or a str raises InvalidConfig, never a NumPy TypeError, and is
 never truncated; a NumPy integer gives the same result as the int.  A real
 must be a Python or NumPy real inside its domain: a bool, a str, None or NaN
 raises InvalidConfig and is never converted; a NumPy float gives the same
-result as the float.
+result as the float.  A zero vector must be a 1-D array of at least 2
+finite numbers.
 """
 
 import dataclasses
@@ -56,8 +57,6 @@ def _oracle(n=2, draws=3):
 INTEGER_PARAMETERS = {
     "compute_zeros-n": (bf.compute_zeros, 3),
     "HermiteZeros-n": (lambda v: bf.HermiteZeros(v, [1.0, -1.0]), 2),
-    "hermite_eval-n": (lambda v: bf.hermite_eval(v, 0.3), 3),
-    "log_norm_const-N": (lambda v: bf.log_norm_const(v, 2.0), 3),
     "exponent_M-N": (lambda v: bf.exponent_M(v, 2.0), 3),
     "first_order_map-n": (bf.first_order_map, 3),
     "sample_tridiagonal_batch-n": (lambda v: _tridiagonal(n=v), 3),
@@ -70,7 +69,7 @@ INTEGER_PARAMETERS = {
     "prop_bound-N": (lambda v: bf.prop_bound(v, 1e4, 0.01), 3),
     "cor_condition-N": (lambda v: bf.cor_condition(v, 1e4, 1.0), 3),
     "cor_bound_terms-N": (lambda v: bf.cor_bound_terms(v, 1e4, 1.0), 3),
-    "cor_bound-N": (lambda v: bf.cor_bound(v, 1e4, 1.0, False), 3),
+    "cor_bound-N": (lambda v: bf.cor_bound(v, 1e4, 1.0), 3),
     "dette_imhof_bound-N": (lambda v: bf.dette_imhof_bound(v, 1.0), 3),
     "gaussian_tail_bound-N": (lambda v: bf.gaussian_tail_bound(v, 1.0), 3),
     "clopper_pearson-hits": (lambda v: bf.clopper_pearson(v, 10), 3),
@@ -155,16 +154,12 @@ REAL_PARAMETERS = {
     "cor_condition-c": (lambda v: bf.cor_condition(3, 1e4, v), 1.0),
     "cor_bound_terms-k": (lambda v: bf.cor_bound_terms(3, v, 1.0), 1e4),
     "cor_bound_terms-c": (lambda v: bf.cor_bound_terms(3, 1e4, v), 1.0),
-    "cor_bound-k": (lambda v: bf.cor_bound(3, v, 1.0, False), 1e4),
-    "cor_bound-c": (lambda v: bf.cor_bound(3, 1e4, v, False), 1.0),
+    "cor_bound-k": (lambda v: bf.cor_bound(3, v, 1.0), 1e4),
+    "cor_bound-c": (lambda v: bf.cor_bound(3, 1e4, v), 1.0),
     "dette_imhof_bound-eps": (lambda v: bf.dette_imhof_bound(2, v), 1.0),
     "gaussian_tail_bound-eps": (lambda v: bf.gaussian_tail_bound(3, v), 1.0),
     "optimize_delta-r": (bf.optimize_delta, -5.0),
-    "hermite_eval-x": (lambda v: bf.hermite_eval(3, v), 0.3),
-    "log_norm_const-k": (lambda v: bf.log_norm_const(3, v), 2.0),
     "exponent_M-k": (lambda v: bf.exponent_M(3, v), 2.0),
-    "per_trial_norms-k": (
-        lambda v: bf.per_trial_norms(np.ones((2, 2)), v, np.zeros(2)), 2.0),
     "sample_tridiagonal_batch-k": (
         lambda v: bf.sample_tridiagonal_batch(3, v, bf.master_stream(1), 4),
         10.0),
@@ -218,6 +213,24 @@ def test_int_reals_take_the_float_path():
     _assert_same(bf.prop_bound(3, 10_000, 1), bf.prop_bound(3, 1e4, 1.0))
     with pytest.raises(InvalidConfig, match="k must be positive and finite"):
         bf.prop_bound(3, 10**400, 0.01)  # no float holds it
+    # An int whose square leaves float range, and an np.float32, are
+    # multiplied as Python floats: these raised OverflowError, or warned
+    # of a float32 overflow, and now give the float inputs' results.
+    for call, reals in [
+        (bf.dette_imhof_bound, (10**200,)),
+        (bf.gaussian_tail_bound, (10**200,)),
+        (bf.prop_bound, (10**300, 10**10)),
+        (bf.cor_bound_terms, (10**4, 10**200)),
+        (bf.cor_bound, (10**4, 10**200)),
+        (bf.prop_bound, (np.float32(1e30), np.float32(1e10))),
+    ]:
+        _assert_same(call(2, *reals), call(2, *map(float, reals)))
+    assert bf.dette_imhof_bound(2, 10**200) == 0.0
+    assert bf.gaussian_tail_bound(2, 10**200) == 0.0
+    assert bf.prop_bound(2, 10**300, 10**10).total == math.inf
+    assert bf.cor_bound_terms(2, 10**4, 10**200) == (math.inf, 0.0)
+    total = bf.prop_bound(2, np.float32(1e30), np.float32(1e10)).total
+    assert total == pytest.approx(256.0 / 3.0 * 1e70, rel=1e-6)
 
 
 #: (call, accepted values, rejected values): the ends of each real domain.
@@ -239,8 +252,6 @@ REAL_DOMAINS = {
     "eps in [0, inf]": (lambda v: bf.dette_imhof_bound(2, v),
                         [0.0, math.inf], [-5e-324, -math.inf]),
     "r in [-inf, inf]": (bf.optimize_delta, [-math.inf, math.inf], []),
-    "x finite": (lambda v: bf.hermite_eval(3, v),
-                 [-1e300, 1e300], [math.inf, -math.inf]),
 }
 
 
@@ -291,6 +302,52 @@ def test_array_reals_accept_integer_arrays():
     _assert_same(bf.chi_variance(np.array([3, 4])), bf.chi_variance([3.0, 4.0]))
     _assert_same(bf.stirling_bound_margins(np.array([2, 30])),
                  bf.stirling_bound_margins([2.0, 30.0]))
+
+
+# ----------------------------------------------------------------------
+# Zero vectors and batches
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("call", [
+    lambda: bf.fixed_point_residual(None),
+    lambda: bf.fixed_point_residual([math.nan, 1.0]),
+    lambda: bf.min_gap([1.0]),
+    lambda: bf.potential_identity_gap("abc"),
+    lambda: bf.inverse_power_sum([[1.0, 2.0]], 2),
+    lambda: bf.build_precision([True, False]),
+    lambda: bf.build_precision([1.0, -math.inf]),
+    lambda: bf.HermiteZeros(2, "ab"),
+    lambda: bf.min_gap([[1.0], [1.0, 2.0]]),
+], ids=["residual-none", "residual-nan", "min_gap-one-entry",
+        "gap-str", "power_sum-2d", "precision-bool", "precision-inf",
+        "HermiteZeros-str", "min_gap-ragged"])
+def test_zero_vectors_rejected(call):
+    # These raised IndexError or ValueError, or returned NaN.
+    with pytest.raises(InvalidConfig, match="zero vector"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: bf.RunningMoments(2).add_batch("abc"),
+    lambda: bf.RunningMoments(2).add_batch([[True, False]]),
+    lambda: bf.spectrum_deviation(None),
+    lambda: bf.spectrum_deviation(bf.compute_zeros(3)),
+    lambda: bf.inverse_power_sum(bf.compute_zeros(3).zeros, 2.0),
+], ids=["add_batch-str", "add_batch-bool", "spectrum-none",
+        "spectrum-zeros", "power_sum-float-p"])
+def test_batches_and_pairs_rejected(call):
+    with pytest.raises(InvalidConfig):
+        call()
+
+
+def test_zero_vectors_and_batches_accept_integer_arrays():
+    z = np.array([2, 0, -2])
+    assert bf.min_gap(z) == bf.min_gap([2.0, 0.0, -2.0]) == 2.0
+    _assert_same(bf.build_precision(z), bf.build_precision(z.astype(float)))
+    ints, floats = bf.RunningMoments(2), bf.RunningMoments(2)
+    ints.add_batch(np.array([[1, 2], [3, 5]]))
+    floats.add_batch([[1.0, 2.0], [3.0, 5.0]])
+    _assert_same(ints.m2, floats.m2)
 
 
 @pytest.mark.parametrize("key, value", [
