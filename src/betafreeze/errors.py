@@ -12,6 +12,8 @@ with open or closed ends (:func:`check_real`): never NaN, and finite unless
 an infinite end is closed (eps = inf is the event with no hits).  Nothing is
 truncated or converted on the way in.  A zero vector is checked by
 ``hermite_core._as_zero_vector``: a 1-D array of at least 2 finite numbers.
+An array comes in through :func:`as_array`, so a ragged sequence is
+rejected like any other non-numeric array.
 """
 
 import math
@@ -36,6 +38,16 @@ class BetafreezeError(Exception):
 
 class InvalidConfig(BetafreezeError):
     """A parameter or configuration violates a documented precondition."""
+
+
+def as_array(value) -> np.ndarray:
+    """``np.asarray(value)``; a ragged sequence, which NumPy refuses to
+    convert, becomes an empty object array, so that the caller's numeric
+    dtype check rejects it with InvalidConfig."""
+    try:
+        return np.asarray(value)
+    except ValueError:
+        return np.empty(0, dtype=object)
 
 
 def check_integer(value, name: str, low: int) -> None:
@@ -128,6 +140,7 @@ __all__ = [
     "DegenerateInput",
     "FactorizationFailure",
     "MAX_N",
+    "as_array",
     "check_integer",
     "check_real",
     "check_n",

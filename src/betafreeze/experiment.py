@@ -7,8 +7,13 @@ is a pure function of (config, seed, workers) - bit-identical on repeat runs
 - while different worker counts give statistically equivalent results.
 Within a worker, sampling proceeds in fixed chunks of 65536 trials (the
 chunk size is part of the reproducibility envelope); :func:`chunk_sizes` is
-the one place that splits trials into chunks, and :func:`_run_workers` the
-one place that hands each worker its stream and block of trials.
+the one place that splits trials into chunks, :func:`_run_workers` the one
+place that hands each worker its stream and block of trials, and
+:func:`_count_hits` the one loop that counts tail hits, for one threshold
+or several read from the same draws.  A sweep draws each (N, k) once, on
+the stream prefix (group index,), and counts every c of the group from the
+same norms: the rows of one group share their draws, so their hits are
+nested and the rows are dependent.
 
 Norm conventions: the scaled residual Y_s = X/sqrt(2k) - z is the primary
 per-trial quantity.  The l2 event is ||Y_s||_2 > eps directly; the sup-norm
@@ -148,13 +153,38 @@ _COLUMNWISE_BELOW = 8
 
 
 def _l2(ys: np.ndarray) -> np.ndarray:
-    """Per-row l2 norm."""
+    """Per-row l2 norm.  If a row's squared sum overflows (a norm above
+    about 1.3e154), the rows that read inf are recomputed with max-abs
+    scaling, so only a norm beyond float range reads inf; every other row
+    keeps its bits, and the check costs no pass over the rows."""
+    try:
+        with np.errstate(over="raise"):
+            return _l2_unscaled(ys)
+    except FloatingPointError:
+        with np.errstate(over="ignore"):
+            norms = _l2_unscaled(ys)
+        big = np.isinf(norms)
+        norms[big] = _l2_scaled(ys[big])
+        return norms
+
+
+def _l2_unscaled(ys: np.ndarray) -> np.ndarray:
     if ys.shape[1] >= _COLUMNWISE_BELOW:
         return np.sqrt(np.sum(ys * ys, axis=1))
     total = ys[:, 0] * ys[:, 0]
     for i in range(1, ys.shape[1]):
         total += ys[:, i] * ys[:, i]
     return np.sqrt(total, out=total)
+
+
+def _l2_scaled(rows: np.ndarray) -> np.ndarray:
+    """Per-row l2 norm as max|row| * ||row / max|row|||_2; inf where a row
+    holds an infinite entry."""
+    scale = np.max(np.abs(rows), axis=1)
+    with np.errstate(invalid="ignore"):  # inf / inf in a row with an inf
+        unit = rows / scale[:, None]
+    return np.where(np.isinf(scale), scale,
+                    scale * np.sqrt(np.sum(unit * unit, axis=1)))
 
 
 def _sup(ys: np.ndarray) -> np.ndarray:
@@ -219,11 +249,16 @@ def _tail_estimate(hits: int, trials: int, confidence: float) -> TailEstimate:
     )
 
 
-def _estimate_tail(
-    cfg: ExperimentConfig, norm: str, seed_prefix: tuple[int, ...] = ()
-) -> TailEstimate:
-    cfg.validate()
-    eps = cfg.resolve_eps()
+def _count_hits(
+    cfg: ExperimentConfig,
+    norm: str,
+    thresholds: list[float],
+    seed_prefix: tuple[int, ...] = (),
+) -> list[int]:
+    """Trials with norm > eps, for each eps in ``thresholds``, all counted
+    from one set of ``cfg.trials`` draws at (cfg.n, cfg.k) on the stream
+    prefix ``seed_prefix``.  ``norm`` is "l2" (the scaled residual) or
+    "sup" (the unscaled one)."""
     z = compute_zeros(cfg.n).zeros
     sqrt2k = math.sqrt(2.0 * cfg.k)
     if norm == "l2":
@@ -232,17 +267,27 @@ def _estimate_tail(
         def event_norm(ys: np.ndarray) -> np.ndarray:
             return sqrt2k * _sup(ys)
 
-    def count_hits(rng: np.random.Generator, t: int) -> int:
-        hits = 0
+    def count(rng: np.random.Generator, t: int) -> list[int]:
+        hits = [0] * len(thresholds)
         for m in chunk_sizes(t):
             ys = _sampler.sample_eigenvalue_batch(cfg.n, cfg.k, rng, m)
             ys /= sqrt2k
             ys -= z
-            hits += int(np.count_nonzero(event_norm(ys) > eps))
+            norms = event_norm(ys)
+            for i, eps in enumerate(thresholds):
+                hits[i] += int(np.count_nonzero(norms > eps))
         return hits
 
-    hits = sum(_run_workers(cfg.seed, cfg.workers, cfg.trials, count_hits,
-                            seed_prefix))
+    per_worker = _run_workers(cfg.seed, cfg.workers, cfg.trials, count,
+                              seed_prefix)
+    return [sum(worker_hits) for worker_hits in zip(*per_worker)]
+
+
+def _estimate_tail(
+    cfg: ExperimentConfig, norm: str, seed_prefix: tuple[int, ...] = ()
+) -> TailEstimate:
+    cfg.validate()
+    [hits] = _count_hits(cfg, norm, [cfg.resolve_eps()], seed_prefix)
     return _tail_estimate(hits, cfg.trials, cfg.confidence)
 
 
@@ -431,9 +476,18 @@ def sweep(
     must be an integer (``errors.check_integer``; 2.0 is rejected, not
     converted), and each k and c a real in its domain (``errors.check_real``;
     a str or bool is rejected), taken as a float once checked.  The grid is
-    read once, so one-shot iterables give every point.  If ``out`` is given,
-    rows are written and flushed incrementally so a per-point failure leaves
-    all completed rows on disk (the exception is then re-raised).
+    read once, so one-shot iterables give every point.
+
+    The law of X depends on (N, k) alone, so each (N, k) group is drawn
+    once, on the stream prefix (group index,) in (N, k) order, and every c
+    of the group is counted from the same norms: a row's hits equal
+    ``estimate_tail_l2`` at its eps with that prefix.  Each row keeps its
+    exact marginal law, but the rows of one group share their draws, so
+    their hits are nested (non-increasing in c) and dependent; a
+    Bonferroni-style check over rows still holds.  With one c the group
+    index is the point index.  If ``out`` is given, rows are written and
+    flushed incrementally so a failing group leaves the rows of every
+    earlier group on disk (the exception is then re-raised).
     """
     ns, ks, cs = list(ns), list(ks), list(cs)
     check_trials(trials)
@@ -447,50 +501,36 @@ def sweep(
     for c in cs:
         check_threshold(c, "c")
     ks, cs = [float(k) for k in ks], [float(c) for c in cs]
+    groups = [(n, k) for n in ns for k in ks] if cs else []
     lines = _sweep_header(trials, seed, workers, confidence)
     handle = open(out, "w") if out is not None else None
     try:
         if handle is not None:
             handle.write("\n".join(lines) + "\n")
             handle.flush()
-        point = 0
-        for n in ns:
-            for k in ks:
-                for c in cs:
-                    row = _sweep_point(
-                        n, k, c, trials, seed, workers, confidence, point
-                    )
-                    lines.append(row)
-                    if handle is not None:
-                        handle.write(row + "\n")
-                        handle.flush()
-                    point += 1
+        for group, (n, k) in enumerate(groups):
+            cfg = ExperimentConfig(n=n, k=k, trials=trials, seed=seed,
+                                   workers=workers, confidence=confidence)
+            epss = [_bounds.cor_eps(k, c) for c in cs]
+            hits = _count_hits(cfg, "l2", epss, (group,))
+            for c, eps, h in zip(cs, epss, hits):
+                row = _sweep_row(n, k, c, eps,
+                                 _tail_estimate(h, trials, confidence))
+                lines.append(row)
+                if handle is not None:
+                    handle.write(row + "\n")
+                    handle.flush()
     finally:
         if handle is not None:
             handle.close()
     return "\n".join(lines) + "\n"
 
 
-def _sweep_point(
-    n: int,
-    k: float,
-    c: float,
-    trials: int,
-    seed: int,
-    workers: int,
-    confidence: float,
-    point_index: int,
-) -> str:
-    eps = _bounds.cor_eps(k, c)
+def _sweep_row(n: int, k: float, c: float, eps: float, est: TailEstimate) -> str:
     bd = _bounds.prop_bound(n, k, eps)
     cor = _bounds.cor_bound(n, k, c)
     di_eps = math.sqrt(2.0 * k) * eps
     di = _bounds.dette_imhof_bound(n, di_eps)
-    cfg = ExperimentConfig(
-        n=n, k=k, trials=trials, seed=seed, eps=eps,
-        workers=workers, confidence=confidence,
-    )
-    est = estimate_tail_l2(cfg, seed_prefix=(point_index,))
     fields = (
         n, k, c, eps, est.trials, est.hits, est.p_hat, est.ci_low, est.ci_high,
         bd.term_quartic, bd.term_stirling, bd.e_factor, bd.term_gaussian,

@@ -26,6 +26,7 @@ from .errors import (
     ConvergenceFailure,
     DegenerateInput,
     InvalidConfig,
+    as_array,
     check_k,
     check_n,
     check_real,
@@ -66,10 +67,7 @@ def _as_zero_vector(z) -> np.ndarray:
     taken as floats.  The one check of every zero vector that comes in."""
     if isinstance(z, HermiteZeros):
         return z.zeros
-    try:
-        zv = np.asarray(z)
-    except ValueError:  # a ragged sequence
-        zv = np.empty(0)
+    zv = as_array(z)
     if (zv.dtype.kind not in "iuf" or zv.ndim != 1 or zv.size < 2
             or not np.all(np.isfinite(zv))):
         raise InvalidConfig(
@@ -257,7 +255,7 @@ def stirling_bound_margins(x) -> tuple[np.ndarray, np.ndarray]:
     subtraction is used (the margins are >= ~1e-7 relative there, far above
     rounding).  Both margins are strictly positive for all finite x > 1.
     """
-    xv = np.atleast_1d(np.asarray(x))
+    xv = np.atleast_1d(as_array(x))
     if xv.dtype.kind not in "iuf" or not np.all((xv > 1) & np.isfinite(xv)):
         raise InvalidConfig("bound margins are defined for finite x > 1")
     xv = xv.astype(float, copy=False)

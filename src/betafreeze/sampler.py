@@ -26,7 +26,14 @@ import math
 import numpy as np
 
 from . import _core
-from .errors import InvalidConfig, check_k, check_n, check_size, check_trials
+from .errors import (
+    InvalidConfig,
+    as_array,
+    check_k,
+    check_n,
+    check_size,
+    check_trials,
+)
 from .hermite_core import compute_zeros
 
 _SQRT2 = math.sqrt(2.0)
@@ -37,7 +44,7 @@ _CHI_VAR_SERIES_FROM = 20.0
 
 def _checked_dof(df) -> np.ndarray:
     """``df`` as a float array of numbers, each positive and finite."""
-    df = np.asarray(df)
+    df = as_array(df)
     if df.dtype.kind not in "iuf" or not np.all((df > 0) & np.isfinite(df)):
         raise InvalidConfig("degrees of freedom must be positive finite numbers")
     return df.astype(float, copy=False)

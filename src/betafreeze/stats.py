@@ -12,7 +12,13 @@ from __future__ import annotations
 import numpy as np
 import scipy.stats
 
-from .errors import InvalidConfig, check_confidence, check_integer, check_trials
+from .errors import (
+    InvalidConfig,
+    as_array,
+    check_confidence,
+    check_integer,
+    check_trials,
+)
 
 
 def clopper_pearson(hits: int, trials: int, confidence: float = 0.99) -> tuple[float, float]:
@@ -54,7 +60,7 @@ class RunningMoments:
         self.m2 = np.zeros((dim, dim))
 
     def add_batch(self, y: np.ndarray) -> None:
-        y = np.asarray(y)
+        y = as_array(y)
         if (y.dtype.kind not in "iuf" or y.ndim != 2
                 or y.shape[1] != self.mean.size):
             raise InvalidConfig("batch must be an (m, dim) array of numbers")

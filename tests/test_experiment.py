@@ -4,6 +4,7 @@ reproducibility, sweep schema and failure semantics."""
 import dataclasses
 import math
 import os
+import warnings
 from concurrent.futures import Future
 
 import numpy as np
@@ -425,16 +426,19 @@ def test_sweep_bound_dominance_where_applicable():
 
 def test_sweep_partial_flush_on_failure(tmp_path, monkeypatch):
     # A grid point that fails while it runs (here a solver failure injected
-    # at the second point) leaves the rows before it on disk.
+    # at the second (N, k) group's draw: one chunk per group at 500 trials
+    # and one worker) leaves the rows before it on disk.
     out = str(tmp_path / "partial.csv")
-    estimate = experiment.estimate_tail_l2
+    sample = experiment._sampler.sample_eigenvalue_batch
+    calls = []
 
-    def failing(cfg, seed_prefix):
-        if seed_prefix == (1,):
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == 2:
             raise ConvergenceFailure("injected")
-        return estimate(cfg, seed_prefix=seed_prefix)
+        return sample(*args)
 
-    monkeypatch.setattr(experiment, "estimate_tail_l2", failing)
+    monkeypatch.setattr(experiment._sampler, "sample_eigenvalue_batch", failing)
     with pytest.raises(ConvergenceFailure):
         bf.sweep([2], [100.0, 200.0], [1.0], trials=500, seed=4, out=out)
     with open(out) as handle:
@@ -442,6 +446,61 @@ def test_sweep_partial_flush_on_failure(tmp_path, monkeypatch):
     assert lines[2] == SWEEP_COLUMNS
     assert len(lines) == 4  # header + the one completed row
     assert lines[3].split(",")[0] == "2"
+
+
+def _sweep_rows(text):
+    return [row.split(",") for row in text.strip().split("\n")[3:]]
+
+
+@pytest.mark.parametrize("cs, workers", [
+    ([0.5], 1), ([0.5, 1.0, 1.5], 1), ([0.5, 1.0, 1.5], 2),
+], ids=["one-c", "three-c", "three-c-2-workers"])
+def test_sweep_rows_of_a_group_share_its_draws(cs, workers):
+    # Every c of one (N, k) is counted from the group's draws: each row
+    # equals estimate_tail_l2 at that row's eps on the prefix (group index,)
+    # (with one c, the point index), and the hits are nested,
+    # non-increasing in c.
+    ns, ks, trials, seed = [2, 3], [1e3, 1e4], 3001, 8
+    text = bf.sweep(ns, ks, cs, trials=trials, seed=seed, workers=workers)
+    rows = _sweep_rows(text)
+    assert len(rows) == len(ns) * len(ks) * len(cs)
+    for group, (n, k) in enumerate((n, k) for n in ns for k in ks):
+        group_rows = rows[group * len(cs):(group + 1) * len(cs)]
+        for c, row in zip(cs, group_rows):
+            assert (int(row[0]), float(row[1]), float(row[2])) == (n, k, c)
+            cfg = bf.ExperimentConfig(n=n, k=k, trials=trials, seed=seed,
+                                      eps=float(row[3]), workers=workers)
+            est = bf.estimate_tail_l2(cfg, seed_prefix=(group,))
+            assert int(row[5]) == est.hits
+            assert float(row[7]) == est.ci_low and float(row[8]) == est.ci_high
+        hits = [int(row[5]) for row in group_rows]
+        assert hits == sorted(hits, reverse=True)
+    assert any(int(row[5]) > 0 for row in rows)
+
+
+def test_sweep_failing_group_leaves_earlier_groups_on_disk(tmp_path,
+                                                          monkeypatch):
+    # Two c per (N, k): a failure at the third group's draw leaves the four
+    # rows of the first two groups.
+    out = str(tmp_path / "partial.csv")
+    sample = experiment._sampler.sample_eigenvalue_batch
+    calls = []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise ConvergenceFailure("injected")
+        return sample(*args)
+
+    monkeypatch.setattr(experiment._sampler, "sample_eigenvalue_batch", failing)
+    with pytest.raises(ConvergenceFailure):
+        bf.sweep([2, 3], [100.0, 200.0], [1.0, 2.0], trials=500, seed=4,
+                 out=out)
+    with open(out) as handle:
+        rows = _sweep_rows(handle.read())
+    assert [(r[0], r[1], r[2]) for r in rows] == [
+        ("2", "100", "1"), ("2", "100", "2"), ("2", "200", "1"),
+        ("2", "200", "2")]
 
 
 def test_sweep_reads_one_shot_grids_once():
@@ -486,6 +545,37 @@ def test_norms_match_axis_reductions_bit_for_bit(n):
     ys[3, 0] = np.nan
     np.testing.assert_array_equal(experiment._l2(ys), np.sqrt(np.sum(ys * ys, axis=1)))
     np.testing.assert_array_equal(experiment._sup(ys), np.max(np.abs(ys), axis=1))
+
+
+@pytest.mark.parametrize("n", (2, 9))
+def test_l2_rescales_rows_whose_squares_overflow(n):
+    # A norm above ~1.3e154 overflows the squared sum; such rows are
+    # recomputed with scaling and warn nothing.  Other rows keep the bits
+    # of the plain sum, and a row with an infinite entry reads inf.
+    ys = np.zeros((6, n))
+    ys[0, :2] = 3.0, 4.0
+    ys[1, 0] = 1e160
+    ys[2, :2] = 1e200, -1e200
+    ys[3, :2] = math.inf, 1.0
+    ys[4, :2] = math.nan, 1e200
+    ys[5, :2] = 1e-3, 2e150
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norms = experiment._l2(ys)
+    assert norms[0] == 5.0 and norms[1] == 1e160
+    assert norms[2] == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+    assert norms[3] == math.inf and math.isnan(norms[4])
+    assert norms[5] == np.sqrt(np.sum(ys[5] * ys[5]))
+
+
+def test_tail_at_tiny_k_counts_overflowing_norms():
+    # At k = 1e-308 the scaled residual is ~1e154 and about 1 row in 6
+    # overflows its squared sum: every row exceeds eps = 1, none 1e200.
+    for eps, want in ((1.0, 4000), (1e200, 0)):
+        cfg = bf.ExperimentConfig(n=2, k=1e-308, trials=4000, seed=1, eps=eps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert bf.estimate_tail_l2(cfg).hits == want
 
 
 def test_sweep_writes_file_and_returns_same_text(tmp_path):

@@ -284,15 +284,19 @@ def test_real_error_messages():
     lambda: bf.chi_variance([2.0, None]),
     lambda: bf.sample_chi(bf.master_stream(1), "3"),
     lambda: bf.sample_chi(bf.master_stream(1), [1.0, 2.0], size=3),
+    lambda: bf.chi_variance([[1.0], [1.0, 2.0]]),
+    lambda: bf.sample_chi(bf.master_stream(1), [[1.0], [1.0, 2.0]]),
     lambda: bf.stirling_bound_margins(math.nan),
     lambda: bf.stirling_bound_margins([2.0, math.nan]),
     lambda: bf.stirling_bound_margins(math.inf),
     lambda: bf.stirling_bound_margins("3"),
     lambda: bf.stirling_bound_margins(True),
+    lambda: bf.stirling_bound_margins([[2.0], [2.0, 3.0]]),
 ], ids=["chi_variance-str", "chi_variance-mixed", "chi_variance-bool",
         "chi_variance-none", "sample_chi-str", "sample_chi-size",
-        "margins-nan", "margins-nan-entry", "margins-inf", "margins-str",
-        "margins-bool"])
+        "chi_variance-ragged", "sample_chi-ragged", "margins-nan",
+        "margins-nan-entry", "margins-inf", "margins-str", "margins-bool",
+        "margins-ragged"])
 def test_array_reals_rejected(call):
     with pytest.raises(InvalidConfig):
         call()
@@ -330,11 +334,12 @@ def test_zero_vectors_rejected(call):
 @pytest.mark.parametrize("call", [
     lambda: bf.RunningMoments(2).add_batch("abc"),
     lambda: bf.RunningMoments(2).add_batch([[True, False]]),
+    lambda: bf.RunningMoments(2).add_batch([[1.0], [1.0, 2.0]]),
     lambda: bf.spectrum_deviation(None),
     lambda: bf.spectrum_deviation(bf.compute_zeros(3)),
     lambda: bf.inverse_power_sum(bf.compute_zeros(3).zeros, 2.0),
-], ids=["add_batch-str", "add_batch-bool", "spectrum-none",
-        "spectrum-zeros", "power_sum-float-p"])
+], ids=["add_batch-str", "add_batch-bool", "add_batch-ragged",
+        "spectrum-none", "spectrum-zeros", "power_sum-float-p"])
 def test_batches_and_pairs_rejected(call):
     with pytest.raises(InvalidConfig):
         call()
