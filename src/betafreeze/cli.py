@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import math
 import os
@@ -208,13 +209,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         "k": args.k,
         "c": args.c,
         "eps": eps,
-        "term_quartic": bd.term_quartic,
-        "term_stirling": bd.term_stirling,
-        "e_factor": bd.e_factor,
-        "term_gaussian": bd.term_gaussian,
-        "total": bd.total,
-        "total_clamped": bd.total_clamped,
-        "condition_ok": bd.condition_ok,
+        **{f.name: getattr(bd, f.name) for f in dataclasses.fields(bd)},
         "cor_bound": cor,
     }
     write = _json_dumps if args.format == "json" else _csv_record
@@ -275,6 +270,9 @@ def cmd_clt(args: argparse.Namespace) -> int:
 # sweep
 # ----------------------------------------------------------------------
 
+_SWEEP_KEYS = ("n", "k", "c", "trials", "seed", "workers", "confidence", "out")
+
+
 def _load_sweep_config(path: str) -> dict:
     try:
         with open(path) as handle:
@@ -285,6 +283,10 @@ def _load_sweep_config(path: str) -> dict:
         raise InvalidConfig(f"config file is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise InvalidConfig("config must be a JSON object")
+    unknown = [key for key in raw if key not in _SWEEP_KEYS]
+    if unknown:
+        raise InvalidConfig(f"unknown config key '{unknown[0]}'; the keys are "
+                            f"{', '.join(_SWEEP_KEYS)}")
     for key in ("n", "k", "c"):
         if key not in raw or not isinstance(raw[key], list):
             raise InvalidConfig(f"config key '{key}' must be a list")

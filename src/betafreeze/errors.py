@@ -28,7 +28,7 @@ _REAL_TYPES = (int, float, np.integer, np.floating)
 #: the precision matrix, the zero identities), and the dense eigensolver's
 #: budget ``_core._DENSE_BUDGET`` is one float64 matrix at this n (32 MB).
 #: ``hermite_core.exponent_M`` forms an N-array, so its N is held to it too;
-#: the closed-form bounds take any N.
+#: the closed-form bounds take any N that fits a float (``check_n``).
 MAX_N = 2000
 
 
@@ -59,13 +59,18 @@ def check_integer(value, name: str, low: int) -> None:
 
 
 def check_n(n: int, name: str = "n") -> None:
-    """The ensemble size: an integer n >= 2."""
+    """The ensemble size: an integer n >= 2 that fits a float (the
+    closed-form bounds compute with it as one)."""
     check_integer(n, name, 2)
+    if n > sys.float_info.max:
+        # Not printed: str() of an int past 4300 digits raises ValueError.
+        raise InvalidConfig(
+            f"{name} must be <= {sys.float_info.max:g} to fit a float")
 
 
 def check_size(n: int, name: str = "n") -> None:
     """The size of an ensemble the program samples or solves: 2 <= n <= MAX_N."""
-    check_n(n, name)
+    check_integer(n, name, 2)
     if n > MAX_N:
         raise InvalidConfig(f"{name} must be <= {MAX_N}, got {n}")
 

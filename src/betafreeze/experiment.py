@@ -28,7 +28,7 @@ import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -531,13 +531,12 @@ def _sweep_row(n: int, k: float, c: float, eps: float, est: TailEstimate) -> str
     cor = _bounds.cor_bound(n, k, c)
     di_eps = math.sqrt(2.0 * k) * eps
     di = _bounds.dette_imhof_bound(n, di_eps)
-    fields = (
+    cells = (
         n, k, c, eps, est.trials, est.hits, est.p_hat, est.ci_low, est.ci_high,
-        bd.term_quartic, bd.term_stirling, bd.e_factor, bd.term_gaussian,
-        bd.total, bd.total_clamped, bd.condition_ok, cor, di_eps, di,
-        _tighter(bd, di),
+        *(getattr(bd, f.name) for f in fields(bd)),
+        cor, di_eps, di, _tighter(bd, di),
     )
-    return ",".join(map(format_cell, fields))
+    return ",".join(map(format_cell, cells))
 
 
 __all__ = [

@@ -15,6 +15,7 @@ exposes the exact identities used everywhere downstream:
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -57,7 +58,7 @@ class HermiteZeros:
         object.__setattr__(self, "zeros", z)
         if z.shape != (self.n,):
             raise InvalidConfig("zeros must be a length-n vector")
-        if not np.all(np.diff(z) < 0):
+        if not np.all(z[1:] < z[:-1]):
             raise DegenerateInput("zeros must be strictly descending")
 
 
@@ -75,44 +76,70 @@ def _as_zero_vector(z) -> np.ndarray:
     return zv.astype(float, copy=False)
 
 
+@contextlib.contextmanager
+def _no_overflow():
+    """The overflow policy of every zero-vector identity: where a gap, an
+    inverse gap, an inverse square or |z|^2 (or a sum of them) overflows,
+    the identity has no float value, and the block raises InvalidConfig.
+    Underflow is left as it is: an inverse square below the float range
+    reads 0 (see :func:`_inverse_square`)."""
+    try:
+        with np.errstate(over="raise", divide="raise"):
+            yield
+    except FloatingPointError:
+        raise InvalidConfig(
+            "a gap, inverse gap, inverse square or |z|^2 of the zero vector "
+            "overflows") from None
+
+
+def _pair_gaps(zv: np.ndarray) -> np.ndarray:
+    """Matrix D with D[i][j] = z_i - z_j off the diagonal and inf on it, so
+    that 1/D is 0 there.  The one place the pair gaps of a zero vector are
+    formed; a coincident pair raises DegenerateInput."""
+    with _no_overflow():
+        diff = zv[:, None] - zv[None, :]
+    np.fill_diagonal(diff, np.inf)
+    if np.any(diff == 0.0):
+        raise DegenerateInput("coincident entries in zero vector")
+    return diff
+
+
+def _inverse_square(t: np.ndarray) -> np.ndarray:
+    """1/(t t), with t t allowed to overflow: 1/(t t) is then below the
+    float range, and reads 0.  The division keeps the caller's policy."""
+    with np.errstate(over="ignore"):
+        square = t * t
+    return 1.0 / square
+
+
 # ----------------------------------------------------------------------
 # Polynomial evaluation
 # ----------------------------------------------------------------------
 
-def _scaled_recurrence(n: int, x: np.ndarray):
-    """Run the three-term recurrence H_{m+1} = 2x H_m - 2m H_{m-1}.
-
-    Values are carried as mantissa/exponent pairs (f, e) with value
-    f * 2^e and f renormalized into +-[0.5, 1) by frexp at every step, so
-    the recurrence is exact in scale and never overflows.  Returns the pairs
-    for H_{n-1} and H_n.
-    """
-    x = np.asarray(x, dtype=float)
-    f_prev = np.ones_like(x)
-    e_prev = np.zeros(x.shape, dtype=np.int64)  # H_0 = 1
-    f_cur, ex = np.frexp(2.0 * x)  # H_1 = 2x
-    e_cur = ex.astype(np.int64)
-    for m in range(1, n):
-        # Anchor the update on the larger of the two exponents so both
-        # rescale factors are <= 1: if H_m is tiny (x near one of its zeros)
-        # or exactly zero, anchoring on H_m's own scale would overflow.
-        # A zero mantissa's exponent slot is meaningless; ignore it.
-        zero_cur = f_cur == 0.0
-        e_base = np.where(zero_cur, e_prev, np.maximum(e_prev, e_cur))
-        scale_cur = np.exp2((e_cur - e_base).astype(float))
-        scale_prev = np.exp2((e_prev - e_base).astype(float))
-        t = 2.0 * x * f_cur * scale_cur - 2.0 * m * f_prev * scale_prev
-        f_new, ex = np.frexp(t)
-        e_new = e_base + ex
-        f_prev, e_prev = f_cur, e_cur
-        f_cur, e_cur = f_new, e_new
-    return f_prev, e_prev, f_cur, e_cur
+#: |H_m| above which both carried values are scaled by 2^-500; the next
+#: step then stays far from overflow for any |x| below 2^400.
+_RESCALE_ABOVE = 2.0**500
+_RESCALE_BY = 2.0**-500
 
 
 def _newton_ratio(n: int, x: np.ndarray) -> np.ndarray:
-    """H_n(x) / H_n'(x) for an array of points (the Newton step)."""
-    f_prev, e_prev, f_cur, e_cur = _scaled_recurrence(n, x)
-    return f_cur / (2.0 * n * f_prev) * np.exp2((e_cur - e_prev).astype(float))
+    """H_n(x) / H_n'(x) = H_n(x) / (2n H_{n-1}(x)) for an array of points
+    (the Newton step).
+
+    Runs the three-term recurrence H_{m+1} = 2x H_m - 2m H_{m-1} in floats.
+    Where |H_m| passes 2^500, both carried values of that point are scaled
+    by 2^-500: a power of two scales exactly, and the common factor cancels
+    in the ratio, so no bit is lost and nothing overflows.
+    """
+    x = np.asarray(x, dtype=float)
+    two_x = 2.0 * x
+    h_prev, h_cur = np.ones_like(x), two_x.copy()
+    for m in range(1, n):
+        h_prev, h_cur = h_cur, two_x * h_cur - 2.0 * m * h_prev
+        big = np.abs(h_cur) > _RESCALE_ABOVE
+        np.multiply(h_cur, _RESCALE_BY, out=h_cur, where=big)
+        np.multiply(h_prev, _RESCALE_BY, out=h_prev, where=big)
+    return h_cur / (2.0 * n * h_prev)
 
 
 # ----------------------------------------------------------------------
@@ -172,12 +199,9 @@ def fixed_point_residual(z) -> float:
     self-validating accuracy certificate independent of how z was computed.
     """
     zv = _as_zero_vector(z)
-    diff = zv[:, None] - zv[None, :]
-    off_diag = ~np.eye(zv.size, dtype=bool)
-    if np.any(diff[off_diag] == 0.0):
-        raise DegenerateInput("coincident entries in zero vector")
-    np.fill_diagonal(diff, np.inf)
-    return float(np.max(np.abs(zv - np.sum(1.0 / diff, axis=1))))
+    diff = _pair_gaps(zv)
+    with _no_overflow():
+        return float(np.max(np.abs(zv - np.sum(1.0 / diff, axis=1))))
 
 
 def potential_identity_gap(z) -> float:
@@ -191,11 +215,11 @@ def potential_identity_gap(z) -> float:
     """
     zv = _as_zero_vector(z)
     n = zv.size
-    iu, ju = np.triu_indices(n, k=1)
-    gaps = zv[iu] - zv[ju]
+    gaps = _pair_gaps(zv)[np.triu_indices(n, k=1)]
     if np.any(gaps <= 0.0):
         raise DegenerateInput("vector must be strictly descending")
-    lhs = -float(zv @ zv) + 2.0 * float(np.sum(np.log(gaps)))
+    with _no_overflow():
+        lhs = -float(zv @ zv) + 2.0 * float(np.sum(np.log(gaps)))
     j = np.arange(1, n + 1, dtype=float)
     rhs = -n * (n - 1) / 2.0 * (1.0 + _LN2) + float(np.sum(j * np.log(j)))
     return abs(lhs - rhs)
@@ -237,7 +261,7 @@ def _mu_vec(x: np.ndarray) -> np.ndarray:
         tm = t[mask]
         shift[mask] += (tm + 0.5) * np.log1p(1.0 / tm) - 1.0
         t[mask] = tm + 1.0
-    inv2 = 1.0 / (t * t)
+    inv2 = _inverse_square(t)
     s = np.zeros_like(t)
     for c in reversed(_MU_COEF[1:]):
         s = (s + c) * inv2
@@ -253,7 +277,9 @@ def stirling_bound_margins(x) -> tuple[np.ndarray, np.ndarray]:
     margin_hi = x^-3/360 - x^-5/1260 + ...); a direct float subtraction there
     would be sub-ulp and undecidable beyond x ~ 2500.  Below 16 the direct
     subtraction is used (the margins are >= ~1e-7 relative there, far above
-    rounding).  Both margins are strictly positive for all finite x > 1.
+    rounding).  Both margins are strictly positive for all finite x > 1,
+    but in floats they underflow: margin_lo reads 0 from x ~ 1.3e64 and
+    margin_hi from x ~ 1.0e107, where they fall below the smallest float.
     """
     xv = np.atleast_1d(as_array(x))
     if xv.dtype.kind not in "iuf" or not np.all((xv > 1) & np.isfinite(xv)):
@@ -273,7 +299,7 @@ def stirling_bound_margins(x) -> tuple[np.ndarray, np.ndarray]:
     big = ~small
     if big.any():
         xb = xv[big]
-        inv2 = 1.0 / (xb * xb)
+        inv2 = _inverse_square(xb)
         tail_lo = np.zeros_like(xb)  # sum of coefficients from x^-5 on
         for c in reversed(_MU_COEF[2:]):
             tail_lo = (tail_lo + c) * inv2
@@ -299,7 +325,9 @@ def exponent_M(N: int, k: float) -> float:
     check_k(k)
     check_real(k, "k", 1.0, closed_low=True)
     mu_k = _mu_vec(np.asarray([k]))[0]
-    mu_tail = _mu_vec(k * np.arange(2, N + 1, dtype=float))
+    # An l k past the float range reads inf, and mu(inf) = 0, its limit.
+    with np.errstate(over="ignore"):
+        mu_tail = _mu_vec(k * np.arange(2, N + 1, dtype=float))
     return float((N - 1) * mu_k - np.sum(mu_tail))
 
 

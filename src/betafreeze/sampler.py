@@ -34,7 +34,7 @@ from .errors import (
     check_size,
     check_trials,
 )
-from .hermite_core import compute_zeros
+from .hermite_core import _inverse_square, compute_zeros
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -85,7 +85,7 @@ def chi_variance(df):
     x = _checked_dof(df) / 2.0
     steps = np.maximum(np.ceil(_CHI_VAR_SERIES_FROM - x), 0.0)
     xs = x + steps
-    u = 1.0 / (xs * xs)
+    u = _inverse_square(xs)
     log_ratio = (
         -1.0 / 8.0
         + u * (1.0 / 192.0 + u * (-1.0 / 640.0
@@ -98,7 +98,11 @@ def chi_variance(df):
 
 
 def _offdiag_dof(n: int, k: float) -> np.ndarray:
-    """Degrees of freedom 2k(n-1), 2k(n-2), ..., 2k for the off-diagonal."""
+    """Degrees of freedom 2k(n-1), 2k(n-2), ..., 2k for the off-diagonal;
+    InvalidConfig, naming k and n, where 2k(n-1) leaves the float range."""
+    if 2.0 * float(k) * (n - 1) == math.inf:
+        raise InvalidConfig(
+            f"degrees of freedom 2k(n-1) overflow at k={k}, n={n}")
     return 2.0 * k * np.arange(n - 1, 0, -1, dtype=float)
 
 

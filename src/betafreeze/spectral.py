@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import (DegenerateInput, FactorizationFailure, InvalidConfig,
-                     check_integer)
-from .hermite_core import _as_zero_vector
+from .errors import FactorizationFailure, InvalidConfig, check_integer
+from .hermite_core import (_as_zero_vector, _inverse_square, _no_overflow,
+                           _pair_gaps)
 
 
 @dataclass(frozen=True)
@@ -36,8 +36,8 @@ class PrecisionSpectralPair:
     """Precision matrix S, its eigenvalues, and a factor of its inverse.
 
     ``eigenvalues`` is ascending (ideally {1, 2, ..., n}); ``chol_cov`` is
-    lower triangular with chol_cov @ chol_cov.T == S^-1, suitable for
-    sampling the limit Gaussian.  All arrays are frozen read-only.
+    lower triangular with chol_cov @ chol_cov.T == S^-1, the covariance
+    of the limit Gaussian.  All arrays are frozen read-only.
     """
 
     n: int
@@ -52,16 +52,6 @@ class PrecisionSpectralPair:
             object.__setattr__(self, name, arr)
 
 
-def _pairwise_inverse_squares(zv: np.ndarray) -> np.ndarray:
-    """Matrix W with W[i][j] = (z_i - z_j)^-2 off-diagonal, 0 on it."""
-    diff = zv[:, None] - zv[None, :]
-    off = ~np.eye(zv.size, dtype=bool)
-    if np.any(diff[off] == 0.0):
-        raise DegenerateInput("coincident entries in zero vector")
-    np.fill_diagonal(diff, np.inf)
-    return 1.0 / (diff * diff)
-
-
 def build_precision(z) -> PrecisionSpectralPair:
     """Assemble S from a zero vector, eigendecompose, and factor S^-1.
 
@@ -73,12 +63,12 @@ def build_precision(z) -> PrecisionSpectralPair:
     """
     zv = _as_zero_vector(z)
     n = zv.size
-    w = _pairwise_inverse_squares(zv)
-    S = -w
-    idx = np.arange(n)
-    S[idx, idx] = 1.0 + w.sum(axis=1)
-    if not np.all(np.isfinite(S)):
-        raise FactorizationFailure("precision matrix has non-finite entries")
+    diff = _pair_gaps(zv)
+    with _no_overflow():
+        w = _inverse_square(diff)
+        S = -w
+        idx = np.arange(n)
+        S[idx, idx] = 1.0 + w.sum(axis=1)
     try:
         eigenvalues = np.linalg.eigvalsh(S)
         C = np.linalg.cholesky(S)
@@ -115,16 +105,19 @@ def inverse_power_sum(z, p: int) -> float:
     if p not in (2, 4):
         raise InvalidConfig(f"p must be 2 or 4, got {p}")
     zv = _as_zero_vector(z)
-    w = _pairwise_inverse_squares(zv)
-    if p == 4:
-        w = w * w
-    return float(w.sum())
+    diff = _pair_gaps(zv)
+    with _no_overflow():
+        w = _inverse_square(diff)
+        if p == 4:
+            w = w * w
+        return float(w.sum())
 
 
 def min_gap(z) -> float:
     """Smallest consecutive gap min_i (z_i - z_{i+1}); >= 2/sqrt(n) for zeros."""
     zv = _as_zero_vector(z)
-    return float(np.min(zv[:-1] - zv[1:]))
+    with _no_overflow():
+        return float(np.min(zv[:-1] - zv[1:]))
 
 
 __all__ = [

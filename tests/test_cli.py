@@ -230,6 +230,13 @@ def test_invalid_sweep_config_values(tmp_path):
     assert run_cli("sweep", "--config", str(bad)).returncode == 2
     bad.write_text(json.dumps({"n": [2], "k": [10.0], "trials": 5}))  # no c
     assert run_cli("sweep", "--config", str(bad)).returncode == 2
+    # A misspelt key ran with its default (here 1 worker).
+    bad.write_text(json.dumps(
+        {"n": [2], "k": [10.0], "c": [1.0], "trials": 5, "worker": 2}))
+    r = run_cli("sweep", "--config", str(bad))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "unknown config key 'worker'" in r.stderr
 
 
 @pytest.mark.parametrize("cfg", [

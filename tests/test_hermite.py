@@ -32,8 +32,35 @@ def hermite_exact(n: int, x: Fraction) -> Fraction:
     return h_cur
 
 
+def renormalized_newton_ratio(n: int, x: np.ndarray) -> np.ndarray:
+    """H_n / (2n H_{n-1}) by the recurrence with every value carried as a
+    mantissa/exponent pair (f, e), f renormalized into +-[0.5, 1) by frexp
+    at every step: the reference that the library's occasional power-of-two
+    rescaling must match bit for bit."""
+    x = np.asarray(x, dtype=float)
+    f_prev, e_prev = np.ones_like(x), np.zeros(x.shape, dtype=np.int64)
+    f_cur, ex = np.frexp(2.0 * x)
+    e_cur = ex.astype(np.int64)
+    for m in range(1, n):
+        # Anchor on the larger exponent, so both scale factors are <= 1; a
+        # zero mantissa's exponent is meaningless.
+        e_base = np.where(f_cur == 0.0, e_prev, np.maximum(e_prev, e_cur))
+        scale_cur = np.exp2((e_cur - e_base).astype(float))
+        scale_prev = np.exp2((e_prev - e_base).astype(float))
+        t = 2.0 * x * f_cur * scale_cur - 2.0 * m * f_prev * scale_prev
+        f_new, ex = np.frexp(t)
+        f_prev, e_prev = f_cur, e_cur
+        f_cur, e_cur = f_new, e_base + ex
+    return f_cur / (2.0 * n * f_prev) * np.exp2((e_cur - e_prev).astype(float))
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    """Equal bit patterns: 0.0 and -0.0 differ, as do NaN payloads."""
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
 # ----------------------------------------------------------------------
-# the scaled recurrence, through the Newton step H_n / H_n'
+# the recurrence, through the Newton step H_n / H_n'
 # ----------------------------------------------------------------------
 
 def newton_ratio(n: int, x: float) -> float:
@@ -69,8 +96,8 @@ def test_eval_parity_at_origin():
     x=st.floats(min_value=-8, max_value=8, allow_nan=False),
 )
 def test_eval_against_float_recurrence(n, x):
-    """Where the plain float recurrence does not overflow, the scaled one
-    must agree to full precision."""
+    """Where the plain float recurrence does not overflow, the library's
+    rescaled one gives the same bits."""
     h_prev, h_cur = 1.0, 2.0 * x
     for m in range(1, n):
         h_prev, h_cur = h_cur, 2.0 * x * h_cur - 2.0 * m * h_prev
@@ -78,12 +105,36 @@ def test_eval_against_float_recurrence(n, x):
     # Off the zeros of H_{n-1}, where the step is a float (|h_cur| < 1e72).
     assume(abs(h_prev) > 1e-200)
     want = h_cur / (2.0 * n * h_prev)
-    assert newton_ratio(n, x) == pytest.approx(want, rel=1e-14, abs=0)
+    assert newton_ratio(n, x) == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 50, 499, 500, 1999, 2000])
+def test_eval_matches_renormalized_reference_bitwise(n):
+    # Points across the zeros (|z| < sqrt(2n + 1)), beyond them, and the
+    # zeros themselves, where H_n is near 0.
+    rng = np.random.default_rng(n)
+    reach = math.sqrt(2.0 * n + 1.0)
+    x = np.concatenate([
+        rng.uniform(-reach, reach, 2000),
+        rng.uniform(-4.0 * reach, 4.0 * reach, 1000),
+        [-2.5, 2.5 * reach, 64.0],
+        bf.compute_zeros(n).zeros if n >= 2 else [],
+    ])
+    assert_same_bits(hermite_core._newton_ratio(n, x),
+                     renormalized_newton_ratio(n, x))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 739, 2000])
+def test_zeros_match_renormalized_polish(n, monkeypatch, zeros_cache):
+    want = zeros_cache(n).zeros
+    monkeypatch.setattr(hermite_core, "_newton_ratio",
+                        renormalized_newton_ratio)
+    assert_same_bits(bf.compute_zeros.__wrapped__(n).zeros, want)
 
 
 def test_eval_no_overflow_at_large_order():
-    # Plain float recurrence overflows near n ~ 180 at x = 8; the scaled
-    # form stays accurate.
+    # Plain float recurrence overflows near n ~ 180 at x = 8; the rescaled
+    # one stays accurate.
     want = mp.hermite(500, 8) / (1000 * mp.hermite(499, 8))
     assert newton_ratio(500, 8.0) == pytest.approx(float(want), rel=1e-12)
 

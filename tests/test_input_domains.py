@@ -355,6 +355,55 @@ def test_zero_vectors_and_batches_accept_integer_arrays():
     _assert_same(ints.m2, floats.m2)
 
 
+# ----------------------------------------------------------------------
+# The ends of the float range
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("call", [
+    lambda: bf.build_precision([1e-160, 0.0]),
+    lambda: bf.inverse_power_sum([1e-160, 0.0], 2),
+    lambda: bf.inverse_power_sum([1e-80, 0.0], 4),
+    lambda: bf.potential_identity_gap([1e200, -1e200]),
+    lambda: bf.fixed_point_residual([1e-310, 0.0]),
+    lambda: bf.fixed_point_residual([1e308, -1e308]),
+    lambda: bf.min_gap([1e308, -1e308]),
+    lambda: bf.prop_bound(10**400, 2.0, 0.1),
+    lambda: bf.cor_bound_terms(10**400, 1e4, 1.0),
+    lambda: bf.dette_imhof_bound(10**400, 1.0),
+], ids=["precision-tiny-gap", "power_sum-tiny-gap", "power_sum-4-tiny-gap",
+        "gap-norm", "residual-subnormal-gap", "residual-gap",
+        "min_gap-gap", "prop_bound-N", "cor_bound_terms-N", "dette_imhof-N"])
+def test_float_range_overflow_rejected(call):
+    # An inverse gap, an inverse square, a gap or |z|^2 that overflows, and
+    # an N that no float holds: these warned or raised OverflowError.
+    with pytest.raises(InvalidConfig):
+        call()
+
+
+def test_float_range_underflow_returns_its_limit():
+    # Each warned of an overflow in a square whose inverse is 0 here.
+    pair = bf.build_precision([1e200, -1e200])
+    np.testing.assert_array_equal(pair.S, np.eye(2))
+    assert bf.inverse_power_sum([1e200, -1e200], 2) == 0.0
+    assert bf.inverse_power_sum([1e200, -1e200], 4) == 0.0
+    assert bf.exponent_M(2, 6.8e153) == pytest.approx(1.0 / (24.0 * 6.8e153))
+    assert bf.exponent_M(3, 1e308) == pytest.approx(1.0 / (12.0 * 1e308))
+    assert bf.stirling_bound_margins(1e200) == (0.0, 0.0)
+    assert bf.chi_variance(1e300) == 0.5
+    np.testing.assert_array_equal(bf.chi_variance([4e154, 2e154]), 0.5)
+
+
+def test_float_range_cli(capsys):
+    # The off-diagonal degrees of freedom 2k(n-1) leave the float range:
+    # the message names k and n, not the degrees of freedom alone.
+    assert main(["tail", "--n", "3", "--k", "1e308", "--eps", "0.5",
+                 "--norm", "l2", "--trials", "10", "--seed", "1"]) == 2
+    assert "2k(n-1) overflow at k=1e+308, n=3" in capsys.readouterr().err
+    # 2k(n-1) = 4e154 fits, but its square did not, in chi_variance.
+    assert main(["clt", "--n", "3", "--k", "1e154", "--trials", "10",
+                 "--seed", "1"]) == 0
+
+
 @pytest.mark.parametrize("key, value", [
     ("k", ["1e3"]), ("c", [True]), ("confidence", "0.9"), ("confidence", None),
 ])
