@@ -20,6 +20,7 @@ first-order term in the frozen regime, and batched dense LAPACK ``eigvalsh``
 for every other row.
 """
 
+from ._core import first_order_map
 from .bounds import (
     BoundBreakdown,
     cor_bound,
@@ -60,7 +61,6 @@ from .hermite_core import (
 from .rng import SEED_ENV_VAR, default_seed, master_stream, worker_streams
 from .sampler import (
     chi_variance,
-    first_order_map,
     mh_oracle_chain,
     sample_chi,
     sample_eigenvalue_batch,
@@ -104,8 +104,9 @@ __all__ = [
     "chi_variance",
     "sample_tridiagonal_batch",
     "sample_eigenvalue_batch",
-    "first_order_map",
     "mh_oracle_chain",
+    # _core
+    "first_order_map",
     # bounds
     "BoundBreakdown",
     "prop_condition",

@@ -17,9 +17,9 @@ passes the gate takes frozen Newton; every other row is solved dense.
   zeros) plus O(1).  A row whose scale estimate s = mean_i e_i / sqrt(n-i)
   (about sqrt(k)) has s^2 >= ``_FROZEN_MIN_K``, and whose n is at most
   ``_FROZEN_MAX_N``, starts from the first-order Dumitriu-Edelman term
-  x0 = sqrt(2) s z + A (d, e - s sqrt(n-i)), A =
-  :func:`betafreeze.sampler.first_order_map`.  Since A (0, sqrt(n-i)) =
-  sqrt(2) z, this is A (d, e), which is within O(1/s) of every root.
+  x0 = sqrt(2) s z + A (d, e - s sqrt(n-i)), A = :func:`first_order_map`.
+  Since A (0, sqrt(n-i)) = sqrt(2) z, this is A (d, e), which is within
+  O(1/s) of every root.
   Only the top ceil(n/2) rows of A are applied: the rows for z_j and
   -z_j = z_{n+1-j} have equal halves on d and opposite halves on e, so
   with P_j and Q_j those two halves applied, x_j = P_j + Q_j and
@@ -82,13 +82,18 @@ Each row's result depends on that row alone: the closed form and the
 Newton path use only elementwise array operations (no BLAS, whose
 summation order may depend on the batch), and Newton stops each row on
 its own test.
+
+:func:`first_order_map` lives here, beside its per-block caller, so that
+this module imports nothing from the package but ``errors``.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from .errors import MAX_N, ConvergenceFailure, InvalidConfig
+from .errors import MAX_N, ConvergenceFailure, InvalidConfig, check_size
 
 #: The eigensolver paths, for run reports (the benchmark manifest reads it).
 BACKEND = "closed-form-n2+frozen-newton+dense-eigvalsh"
@@ -189,9 +194,7 @@ def _dense(d: np.ndarray, e: np.ndarray) -> np.ndarray:
         stop = min(start + step, batch)
         T = np.zeros((stop - start, n, n))
         T[:, idx, idx] = d[start:stop]
-        if n > 1:
-            T[:, idx[:-1], idx[:-1] + 1] = e[start:stop]
-            T[:, idx[:-1] + 1, idx[:-1]] = e[start:stop]
+        T[:, idx[1:], idx[:-1]] = e[start:stop]  # eigvalsh reads the lower half
         try:
             out[start:stop] = np.linalg.eigvalsh(T)
         except np.linalg.LinAlgError as exc:
@@ -215,6 +218,35 @@ def _frozen_gate(e: np.ndarray) -> np.ndarray:
         return total >= (n - 1) * np.sqrt(_FROZEN_MIN_K)
 
 
+# typed: a float n equal to a cached NumPy integer n must not skip the check.
+@functools.lru_cache(maxsize=32, typed=True)
+def first_order_map(n: int) -> np.ndarray:
+    """(n, 2n-1) matrix A of the first-order eigenvalue perturbation.
+
+    Write the tridiagonal matrix as T = sqrt(k) T0 + G: T0 has zero diagonal
+    and off-diagonal sqrt(n-i), i = 1 .. n-1, so the eigenvalues of
+    sqrt(k) T0 are sqrt(2k) z; G has diagonal d and off-diagonal
+    delta_i = e_i - sqrt(k (n-i)).  With V the eigenvectors of T0 in
+    descending eigenvalue order, first-order perturbation theory gives
+
+        X - sqrt(2k) z = A (d, delta) + O(1/sqrt(k)),
+        A = [(V**2)^T | (2 V_i V_{i+1})^T]
+
+    (Dumitriu-Edelman, large-beta asymptotics).  Since Var d_i = 1 and
+    Var delta_i -> 1/4, A diag(1, 1/4) A^T is the limit covariance S^-1.
+    Also A (0, sqrt(n-i)) = sqrt(2) z: to first order, scaling T0 scales
+    its eigenvalues, so A (d, e) is the first-order eigenvalue estimate
+    whatever the scale k.  Results are cached by n and read-only.
+    """
+    check_size(n)
+    t0 = np.diag(np.sqrt(np.arange(n - 1, 0, -1, dtype=float)), 1)
+    _, vecs = np.linalg.eigh(t0 + t0.T)
+    v = vecs[:, ::-1]
+    a = np.hstack([(v * v).T, (2.0 * v[:-1] * v[1:]).T])
+    a.setflags(write=False)
+    return a
+
+
 def _frozen_rows(
     d: np.ndarray, e: np.ndarray, rows: np.ndarray | range, out: np.ndarray
 ) -> np.ndarray:
@@ -224,8 +256,6 @@ def _frozen_rows(
     whole batch, of the rows whose roots are certified; the caller must
     overwrite the others.
     """
-    from .sampler import first_order_map  # sampler imports this module
-
     n = d.shape[1]
     a = first_order_map(n)
     accepted = np.zeros(d.shape[0], dtype=bool)

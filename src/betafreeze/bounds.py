@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import check_k, check_n, check_real, check_threshold
+from .errors import InvalidConfig, check_k, check_n, check_real, check_threshold
 
 _HALF_LN_E = 0.5  # ln sqrt(e)
 
@@ -83,10 +83,11 @@ def _exp(x: float) -> float:
 def prop_condition(N: int, k: float, eps: float) -> bool:
     """True iff sqrt((1 + ln N)/(2k)) <= eps <= 1/(2 sqrt(N)).
 
-    The window is nonempty iff k >= 2N(1 + ln N).
+    The window is nonempty iff k >= 2N(1 + ln N).  (1 + ln N)/2/k has the
+    bits of (1 + ln N)/(2k) wherever 2k is finite, and needs no 2k.
     """
     k, eps = _validate_nke(N, k, eps)
-    return math.sqrt((1.0 + math.log(N)) / (2.0 * k)) <= eps <= 0.5 / math.sqrt(N)
+    return math.sqrt((1.0 + math.log(N)) / 2.0 / k) <= eps <= 0.5 / math.sqrt(N)
 
 
 def _term_quartic(N: int, k: float, eps: float) -> float:
@@ -95,9 +96,24 @@ def _term_quartic(N: int, k: float, eps: float) -> float:
     # reach inf rather than raising OverflowError.  N^3 is a float product
     # for the same reason: the int N**3 fails to convert to float above
     # N ~ 5.6e102, and float ** raises on overflow.  For N < 2^17 the
-    # product is exact.
+    # product is exact.  Where N^3 overflows and k eps^4 underflows, the
+    # product is 0 * inf; the term is then the sum of its logarithms.
     nf = float(N)
-    return (32.0 / 3.0) * (k * eps * eps) * (eps * eps) * (nf * nf * nf)
+    term = (32.0 / 3.0) * (k * eps * eps) * (eps * eps) * (nf * nf * nf)
+    if math.isnan(term):
+        return _exp(math.log(32.0 / 3.0) + math.log(k) + 4.0 * math.log(eps)
+                    + 3.0 * math.log(nf))
+    return term
+
+
+def _gaussian_term(log_start: float, log_prefactor: float, x: float) -> float:
+    """(sqrt(e)/2) e^{log_start + log_prefactor} (2x + 1) e^{-x}, its logs
+    summed left to right before one exponentiation; 0 where x overflows
+    (log1p(2x) - x is inf - inf there)."""
+    if x == math.inf:
+        return 0.0
+    return _exp(log_start + _HALF_LN_E + log_prefactor - math.log(2.0)
+                + math.log1p(2.0 * x) - x)
 
 
 def prop_bound(N: int, k: float, eps: float) -> BoundBreakdown:
@@ -106,18 +122,7 @@ def prop_bound(N: int, k: float, eps: float) -> BoundBreakdown:
     tq = _term_quartic(N, k, eps)
     ts = (N - 1) / (26.0 * k)
     log_e = ts - tq
-    keps2 = k * eps * eps
-    log_gauss = (
-        log_e
-        + _HALF_LN_E
-        + 0.5 * math.log(N)
-        - math.log(2.0)
-        + math.log1p(2.0 * keps2)
-        - keps2
-    )
-    # Where k eps^2 overflows, log1p(2 k eps^2) - k eps^2 is inf - inf; the
-    # Gaussian term itself is 0 there.
-    tg = _exp(log_gauss) if keps2 < math.inf else 0.0
+    tg = _gaussian_term(log_e, 0.5 * math.log(N), k * eps * eps)
     total = tq - ts + tg
     return BoundBreakdown(
         term_quartic=tq,
@@ -131,25 +136,26 @@ def prop_bound(N: int, k: float, eps: float) -> BoundBreakdown:
 
 
 def cor_eps(k: float, c: float) -> float:
-    """The threshold eps = c sqrt(ln k / k) used by the log-threshold bound."""
+    """The threshold eps = c sqrt(ln k / k) used by the log-threshold bound.
+
+    InvalidConfig, naming k and c, where it underflows to 0 (outside eps's
+    domain).
+    """
     k, c = _validate_log_threshold(k, c)
-    return c * math.sqrt(math.log(k) / k)
+    eps = c * math.sqrt(math.log(k) / k)
+    if eps == 0.0:
+        raise InvalidConfig(
+            f"eps = c sqrt(ln k / k) underflows to 0 at k={k}, c={c}")
+    return eps
 
 
 def cor_condition(N: int, k: float, c: float) -> bool:
-    """True iff sqrt((1+ln N)/(2 ln k)) <= c <= (1/2) sqrt(k/(N ln k)).
+    """:func:`prop_condition` at eps = :func:`cor_eps` (k, c).
 
-    This is the validity window of prop_condition re-expressed for the
-    threshold eps = c sqrt(ln k / k).
+    In c, the window reads sqrt((1+ln N)/(2 ln k)) <= c <= (1/2)
+    sqrt(k/(N ln k)).
     """
-    check_n(N, "N")
-    k, c = _validate_log_threshold(k, c)
-    lnk = math.log(k)
-    return (
-        math.sqrt((1.0 + math.log(N)) / (2.0 * lnk))
-        <= c
-        <= 0.5 * math.sqrt(k / (N * lnk))
-    )
+    return prop_condition(N, k, cor_eps(k, c))
 
 
 def cor_bound_terms(N: int, k: float, c: float) -> tuple[float, float]:
@@ -165,13 +171,8 @@ def cor_bound_terms(N: int, k: float, c: float) -> tuple[float, float]:
     check_n(N, "N")
     eps = cor_eps(k, c)
     k, c = float(k), float(c)
-    first = _term_quartic(N, k, eps)
-    lnk = math.log(k)
-    c2lnk = c * c * lnk
-    log_second = (
-        _HALF_LN_E + math.log(N) - math.log(2.0) + math.log1p(2.0 * c2lnk) - c2lnk
-    )
-    return first, math.exp(log_second) if c2lnk < math.inf else 0.0
+    return (_term_quartic(N, k, eps),
+            _gaussian_term(0.0, math.log(N), c * c * math.log(k)))
 
 
 def cor_bound(N: int, k: float, c: float) -> float:

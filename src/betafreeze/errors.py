@@ -27,8 +27,9 @@ _REAL_TYPES = (int, float, np.integer, np.floating)
 #: to it works.  The program forms n x n arrays there (the dense eigensolver,
 #: the precision matrix, the zero identities), and the dense eigensolver's
 #: budget ``_core._DENSE_BUDGET`` is one float64 matrix at this n (32 MB).
-#: ``hermite_core.exponent_M`` forms an N-array, so its N is held to it too;
-#: the closed-form bounds take any N that fits a float (``check_n``).
+#: ``hermite_core.exponent_M`` and ``experiment.gaussian_reference_tail``
+#: form an N-array, so their N is held to it too; the closed-form bounds
+#: take any N that fits a float (``check_n``).
 MAX_N = 2000
 
 

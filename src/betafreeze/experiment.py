@@ -40,7 +40,6 @@ from .errors import (
     InvalidConfig,
     check_confidence,
     check_k,
-    check_n,
     check_real,
     check_seed,
     check_size,
@@ -324,7 +323,7 @@ def clt_covariance_test(cfg: ExperimentConfig) -> CltReport:
 
     Cov(Y) is estimated with the first-order term Y_lin = A g of the
     tridiagonal model as a control variate, where g = (d, e) are the
-    matrix entries and A = :func:`betafreeze.sampler.first_order_map`
+    matrix entries and A = :func:`betafreeze._core.first_order_map`
     (Y_lin is taken up to a constant shift, which no covariance sees):
 
         C = Cov_emp(Y) + A (Cov(g) - Cov_emp(g)) A^T,
@@ -345,7 +344,7 @@ def clt_covariance_test(cfg: ExperimentConfig) -> CltReport:
     z = compute_zeros(n).zeros
     sigma = _limit_covariance(n)
     sqrt2k = math.sqrt(2.0 * cfg.k)
-    a = _sampler.first_order_map(n)
+    a = _core.first_order_map(n)
     var_e = _sampler.chi_variance(_sampler._offdiag_dof(n, cfg.k)) / 2.0
     cov_g = np.diag(np.concatenate([np.ones(n), var_e]))
 
@@ -394,7 +393,7 @@ def gaussian_reference_tail(
     Used to validate gaussian_tail_bound by dominance; E||Xt||_2^2 is the
     harmonic number H_N.
     """
-    check_n(N, "N")
+    check_size(N, "N")
     check_threshold(eps)
     check_trials(trials)
     check_seed(seed)
@@ -474,9 +473,10 @@ def sweep(
     seed, workers, confidence) and every grid point's n, k and c are
     checked before ``out`` is opened: each n, like trials, seed and workers,
     must be an integer (``errors.check_integer``; 2.0 is rejected, not
-    converted), and each k and c a real in its domain (``errors.check_real``;
-    a str or bool is rejected), taken as a float once checked.  The grid is
-    read once, so one-shot iterables give every point.
+    converted), each k and c a real in its domain (``errors.check_real``;
+    a str or bool is rejected), taken as a float once checked, and each
+    (k, c) must give a positive eps (:func:`betafreeze.bounds.cor_eps`).
+    The grid is read once, so one-shot iterables give every point.
 
     The law of X depends on (N, k) alone, so each (N, k) group is drawn
     once, on the stream prefix (group index,) in (N, k) order, and every c
@@ -501,6 +501,8 @@ def sweep(
     for c in cs:
         check_threshold(c, "c")
     ks, cs = [float(k) for k in ks], [float(c) for c in cs]
+    # Formed before out is opened: eps underflows at a large k and small c.
+    epss = {k: [_bounds.cor_eps(k, c) for c in cs] for k in ks}
     groups = [(n, k) for n in ns for k in ks] if cs else []
     lines = _sweep_header(trials, seed, workers, confidence)
     handle = open(out, "w") if out is not None else None
@@ -511,9 +513,8 @@ def sweep(
         for group, (n, k) in enumerate(groups):
             cfg = ExperimentConfig(n=n, k=k, trials=trials, seed=seed,
                                    workers=workers, confidence=confidence)
-            epss = [_bounds.cor_eps(k, c) for c in cs]
-            hits = _count_hits(cfg, "l2", epss, (group,))
-            for c, eps, h in zip(cs, epss, hits):
+            hits = _count_hits(cfg, "l2", epss[k], (group,))
+            for c, eps, h in zip(cs, epss[k], hits):
                 row = _sweep_row(n, k, c, eps,
                                  _tail_estimate(h, trials, confidence))
                 lines.append(row)

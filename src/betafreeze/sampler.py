@@ -20,7 +20,6 @@ independent (approximate) oracle for desk-scale cross-validation at n <= 3.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -40,6 +39,11 @@ _SQRT2 = math.sqrt(2.0)
 
 #: Half degrees of freedom from which chi_variance's series is accurate.
 _CHI_VAR_SERIES_FROM = 20.0
+
+#: Degrees of freedom below which chi_variance returns df: there
+#: Var = df - pi df^2 / 2 + O(df^3) rounds to df, and the shift's
+#: steps / x would overflow below about 2.2e-307.
+_CHI_VAR_LINEAR_BELOW = 1e-300
 
 
 def _checked_dof(df) -> np.ndarray:
@@ -82,7 +86,8 @@ def chi_variance(df):
     first shifted up by whole steps with r(x) = r(x + 1) x / (x + 1/2).
     Relative accuracy is ~1e-14 for every df > 0.  ``df`` may be an array.
     """
-    x = _checked_dof(df) / 2.0
+    df = _checked_dof(df)
+    x = np.maximum(df, _CHI_VAR_LINEAR_BELOW) / 2.0
     steps = np.maximum(np.ceil(_CHI_VAR_SERIES_FROM - x), 0.0)
     xs = x + steps
     u = _inverse_square(xs)
@@ -93,7 +98,8 @@ def chi_variance(df):
     ) / xs + 0.5 * np.log1p(steps / x)
     for i in range(int(np.max(steps))):
         log_ratio -= np.where(i < steps, np.log1p(0.5 / (x + i)), 0.0)
-    out = -2.0 * x * np.expm1(2.0 * log_ratio)
+    out = np.where(df < _CHI_VAR_LINEAR_BELOW, df,
+                   -2.0 * x * np.expm1(2.0 * log_ratio))
     return float(out) if out.ndim == 0 else out
 
 
@@ -138,35 +144,6 @@ def sample_eigenvalue_batch(
     """
     d, e = sample_tridiagonal_batch(n, k, rng, trials)
     return _core.eigvals_batch(d, e)
-
-
-# typed: a float n equal to a cached NumPy integer n must not skip the check.
-@functools.lru_cache(maxsize=32, typed=True)
-def first_order_map(n: int) -> np.ndarray:
-    """(n, 2n-1) matrix A of the first-order eigenvalue perturbation.
-
-    Write the tridiagonal matrix as T = sqrt(k) T0 + G: T0 has zero diagonal
-    and off-diagonal sqrt(n-i), i = 1 .. n-1, so the eigenvalues of
-    sqrt(k) T0 are sqrt(2k) z; G has diagonal d and off-diagonal
-    delta_i = e_i - sqrt(k (n-i)).  With V the eigenvectors of T0 in
-    descending eigenvalue order, first-order perturbation theory gives
-
-        X - sqrt(2k) z = A (d, delta) + O(1/sqrt(k)),
-        A = [(V**2)^T | (2 V_i V_{i+1})^T]
-
-    (Dumitriu-Edelman, large-beta asymptotics).  Since Var d_i = 1 and
-    Var delta_i -> 1/4, A diag(1, 1/4) A^T is the limit covariance S^-1.
-    Also A (0, sqrt(n-i)) = sqrt(2) z: to first order, scaling T0 scales
-    its eigenvalues, so A (d, e) is the first-order eigenvalue estimate
-    whatever the scale k.  Results are cached by n and read-only.
-    """
-    check_size(n)
-    t0 = np.diag(np.sqrt(np.arange(n - 1, 0, -1, dtype=float)), 1)
-    _, vecs = np.linalg.eigh(t0 + t0.T)
-    v = vecs[:, ::-1]
-    a = np.hstack([(v * v).T, (2.0 * v[:-1] * v[1:]).T])
-    a.setflags(write=False)
-    return a
 
 
 # ----------------------------------------------------------------------
@@ -238,6 +215,5 @@ __all__ = [
     "chi_variance",
     "sample_tridiagonal_batch",
     "sample_eigenvalue_batch",
-    "first_order_map",
     "mh_oracle_chain",
 ]

@@ -137,6 +137,9 @@ def test_condition_window_nonempty_iff():
         k_bad = k_crit * 0.9
         for eps in np.linspace(1e-4, 1.0, 50):
             assert not bf.prop_condition(N, k_bad, float(eps))
+    # 2k overflowed here, and the window's lower end read 0, not 9.2e-155.
+    assert not bf.prop_condition(2, 1e308, 1e-200)
+    assert not bf.prop_bound(2, 1e308, 1e-200).condition_ok
 
 
 def test_prop_bound_monotone_in_eps_where_gaussian_dominates():
@@ -297,6 +300,13 @@ def test_huge_n_saturates_instead_of_raising():
     assert bd.term_quartic == bd.total == math.inf
     assert bd.total_clamped == 1.0 and not bd.condition_ok
     assert bf.cor_bound_terms(10**120, 10.0, 1.0)[0] == math.inf
+    # N^3 = inf times k eps^4 = 0 read NaN here; the term is finite (mpmath,
+    # 40 digits), and so are the rest of the breakdown and the total.
+    bd = bf.prop_bound(2**1000, 1e308, 1e-300)
+    assert bd.term_quartic == pytest.approx(1.3122473836385e12, rel=1e-9)
+    assert bd.total == bd.term_quartic and not bd.condition_ok
+    first, _ = bf.cor_bound_terms(2**1000, 1e308, 1e-160)
+    assert first == pytest.approx(6.6000697609873e-39, rel=1e-9)
     # Below 2**17, N^3 is exact as a float product, so the term is the one
     # formed with the int N**3, bit for bit.
     k, eps = 1e4, 0.01
@@ -328,6 +338,7 @@ SIZES = st.one_of(
 @example(N=100_000, k=1.0, eps=1e-10, c=1.0)
 @example(N=2, k=math.inf, eps=0.1, c=1.0)
 @example(N=10, k=1.0, eps=1e9, c=1.0)
+@example(N=2**1000, k=1e308, eps=1e-300, c=1e-160)
 @given(N=SIZES, k=REALS, eps=REALS, c=REALS)
 def test_bounds_never_nan_and_raise_only_domain_errors(N, k, eps, c):
     calls = (

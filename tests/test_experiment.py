@@ -340,6 +340,9 @@ def test_gaussian_reference_tail_basics():
     assert 0.0 <= a.ci_low <= a.p_hat <= a.ci_high <= 1.0
     with pytest.raises(InvalidConfig):
         bf.gaussian_reference_tail(1, 1.0, 100, 0)
+    for N in (2001, 10**30):  # an N-array; 10**30 raised NumPy's ValueError
+        with pytest.raises(InvalidConfig, match="N must be <= 2000"):
+            bf.gaussian_reference_tail(N, 1.0, 100, 0)
     with pytest.raises(InvalidConfig):
         bf.gaussian_reference_tail(3, 0.0, 100, 0)
     with pytest.raises(InvalidConfig):

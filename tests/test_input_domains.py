@@ -370,12 +370,18 @@ def test_zero_vectors_and_batches_accept_integer_arrays():
     lambda: bf.prop_bound(10**400, 2.0, 0.1),
     lambda: bf.cor_bound_terms(10**400, 1e4, 1.0),
     lambda: bf.dette_imhof_bound(10**400, 1.0),
+    lambda: bf.cor_eps(1e300, 1e-200),
+    lambda: bf.cor_bound(2, 1e300, 1e-200),
+    lambda: bf.cor_condition(2, 1e300, 1e-200),
 ], ids=["precision-tiny-gap", "power_sum-tiny-gap", "power_sum-4-tiny-gap",
         "gap-norm", "residual-subnormal-gap", "residual-gap",
-        "min_gap-gap", "prop_bound-N", "cor_bound_terms-N", "dette_imhof-N"])
+        "min_gap-gap", "prop_bound-N", "cor_bound_terms-N", "dette_imhof-N",
+        "cor_eps-underflow", "cor_bound-underflow", "cor_condition-underflow"])
 def test_float_range_overflow_rejected(call):
     # An inverse gap, an inverse square, a gap or |z|^2 that overflows, and
-    # an N that no float holds: these warned or raised OverflowError.
+    # an N that no float holds: these warned or raised OverflowError.  A
+    # log threshold c sqrt(ln k / k) that underflows to 0 was returned, or
+    # read as eps = 0.
     with pytest.raises(InvalidConfig):
         call()
 
@@ -391,9 +397,12 @@ def test_float_range_underflow_returns_its_limit():
     assert bf.stirling_bound_margins(1e200) == (0.0, 0.0)
     assert bf.chi_variance(1e300) == 0.5
     np.testing.assert_array_equal(bf.chi_variance([4e154, 2e154]), 0.5)
+    # Var chi_df = df - pi df^2 / 2 + O(df^3); steps / x overflowed here.
+    for df in (5e-324, 1e-320, 1e-307):
+        assert bf.chi_variance(df) == pytest.approx(df, rel=1e-14)
 
 
-def test_float_range_cli(capsys):
+def test_float_range_cli(capsys, tmp_path):
     # The off-diagonal degrees of freedom 2k(n-1) leave the float range:
     # the message names k and n, not the degrees of freedom alone.
     assert main(["tail", "--n", "3", "--k", "1e308", "--eps", "0.5",
@@ -402,6 +411,22 @@ def test_float_range_cli(capsys):
     # 2k(n-1) = 4e154 fits, but its square did not, in chi_variance.
     assert main(["clt", "--n", "3", "--k", "1e154", "--trials", "10",
                  "--seed", "1"]) == 0
+    # eps = c sqrt(ln k / k) underflows to 0: the message names k and c,
+    # and the sweep stops before it opens out (it wrote the k = 10 row).
+    capsys.readouterr()
+    out = tmp_path / "rows.csv"
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({"n": [2], "k": [10, 1e300], "c": [1e-200],
+                                  "trials": 10, "seed": 1, "out": str(out)}))
+    for argv in (["bounds", "--n", "2", "--k", "1e300", "--c", "1e-200"],
+                 ["tail", "--n", "2", "--k", "1e300", "--c", "1e-200",
+                  "--norm", "l2", "--trials", "10", "--seed", "1"],
+                 ["sweep", "--config", str(config)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "underflows to 0 at k=1e+300, c=1e-200" in captured.err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key, value", [

@@ -10,7 +10,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betafreeze import _core, sampler
+from betafreeze import _core
 from betafreeze._core import (
     _DENSE_BUDGET,
     _certified,
@@ -20,10 +20,11 @@ from betafreeze._core import (
     _frozen_rows,
     _warm_start,
     eigvals_batch,
+    first_order_map,
 )
 from betafreeze.errors import ConvergenceFailure, InvalidConfig
 from betafreeze.rng import master_stream
-from betafreeze.sampler import first_order_map, sample_tridiagonal_batch
+from betafreeze.sampler import sample_tridiagonal_batch
 
 
 def _reference(d, e):
@@ -235,7 +236,7 @@ def test_wrong_root_fails_certificate(corrupt, monkeypatch):
     wrong = dense[:, [1, 0]] if corrupt == "swap" else dense[:, [0, 0]]
     np.testing.assert_allclose(roots[:2].T, wrong, rtol=1e-12)
     assert not ok.any()
-    monkeypatch.setattr(sampler, "first_order_map", lambda m: bad)
+    monkeypatch.setattr(_core, "first_order_map", lambda m: bad)
     np.testing.assert_array_equal(eigvals_batch(d, e), dense)
 
 
@@ -316,7 +317,7 @@ def test_radius_needs_gap_above_n_steps(monkeypatch):
     assert 11.25**2 / 18.75 + _core._EPS * c <= _core._NEWTON_TOL * c
     assert not ok.any()
     assert _frozen_gate(e).all()
-    monkeypatch.setattr(sampler, "first_order_map", lambda m: start)
+    monkeypatch.setattr(_core, "first_order_map", lambda m: start)
     with np.errstate(divide="ignore"):
         accepted = _frozen_rows(d, e, range(1), np.empty(d.shape))
     assert not accepted.any()
