@@ -27,6 +27,7 @@ informative, so term_gaussian must never be formed as a plain product.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import InvalidConfig, check_k, check_n, check_real, check_threshold
@@ -120,7 +121,8 @@ def prop_bound(N: int, k: float, eps: float) -> BoundBreakdown:
     """Evaluate the explicit tail bound and its decomposition at (N, k, eps)."""
     k, eps = _validate_nke(N, k, eps)
     tq = _term_quartic(N, k, eps)
-    ts = (N - 1) / (26.0 * k)
+    # (N - 1)/26/k rounds twice, so it stands in only where 26k overflows.
+    ts = (N - 1) / (26.0 * k) if 26.0 * k < math.inf else (N - 1) / 26.0 / k
     log_e = ts - tq
     tg = _gaussian_term(log_e, 0.5 * math.log(N), k * eps * eps)
     total = tq - ts + tg
@@ -163,7 +165,10 @@ def cor_bound_terms(N: int, k: float, c: float) -> tuple[float, float]:
 
     First summand: (32/3) c^4 N^3 (ln k)^2 / k, evaluated through the same
     floating path as term_quartic at eps = c sqrt(ln k / k) so the two are
-    bitwise identical.  Second summand: (sqrt(e) N / 2)(2 c^2 ln k + 1) k^{-c^2}
+    bitwise identical wherever that eps is a normal float.  Where it is
+    subnormal, eps^4 would multiply its rounding by four, so the summand is
+    formed from c instead, in log space (c^4 itself underflows).  Second
+    summand: (sqrt(e) N / 2)(2 c^2 ln k + 1) k^{-c^2}
     - note the prefactor N, a deliberate coarsening of term_gaussian's
     sqrt(N) (valid since sqrt(N) <= N), with the e_factor dropped (E <= 1 in
     the validity window).
@@ -171,8 +176,14 @@ def cor_bound_terms(N: int, k: float, c: float) -> tuple[float, float]:
     check_n(N, "N")
     eps = cor_eps(k, c)
     k, c = float(k), float(c)
-    return (_term_quartic(N, k, eps),
-            _gaussian_term(0.0, math.log(N), c * c * math.log(k)))
+    log_k = math.log(k)
+    if eps < sys.float_info.min:
+        first = _exp(math.log(32.0 / 3.0) + 4.0 * math.log(c)
+                     + 3.0 * math.log(float(N)) + 2.0 * math.log(log_k)
+                     - log_k)
+    else:
+        first = _term_quartic(N, k, eps)
+    return first, _gaussian_term(0.0, math.log(N), c * c * log_k)
 
 
 def cor_bound(N: int, k: float, c: float) -> float:

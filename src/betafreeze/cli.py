@@ -43,7 +43,7 @@ from .hermite_core import (
     fixed_point_residual,
     potential_identity_gap,
 )
-from .rng import default_seed, worker_streams
+from .rng import default_seed
 from .spectral import build_precision, inverse_power_sum, min_gap, spectrum_deviation
 
 
@@ -173,22 +173,25 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    # Each chunk is written as soon as it is drawn, so memory does not grow
-    # with trials; the header waits for the first draw, which validates n
-    # and k, so rejected input prints nothing.
-    seed = _seed(args)
-    rng = worker_streams(seed, 1)[0]
-    trial = 0
-    for m in _experiment.chunk_sizes(args.trials):
-        lam = _sampler.sample_eigenvalue_batch(args.n, args.k, rng, m)
-        if trial == 0:
-            sys.stdout.write("trial,i,lambda_i\n")
-        sys.stdout.write("".join(
-            f"{trial + r},{i},{format_float(float(v))}\n"
-            for r, row in enumerate(lam)
-            for i, v in enumerate(row, start=1)
-        ))
-        trial += m
+    # One worker's chunks, each written as soon as it is drawn, so memory
+    # does not grow with trials; the header waits for the first draw, which
+    # validates n and k, so rejected input prints nothing.
+    def write(chunks) -> None:
+        trial = 0
+        for lam in chunks:
+            if trial == 0:
+                sys.stdout.write("trial,i,lambda_i\n")
+            sys.stdout.write("".join(
+                f"{r},{i},{format_float(float(v))}\n"
+                for r, row in enumerate(lam, start=trial)
+                for i, v in enumerate(row, start=1)
+            ))
+            trial += len(lam)
+
+    _experiment._run_workers(
+        _seed(args), 1, args.trials,
+        lambda rng, m: _sampler.sample_eigenvalue_batch(args.n, args.k, rng, m),
+        write)
     return 0
 
 

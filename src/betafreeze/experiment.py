@@ -6,14 +6,15 @@ partition; worker w draws from its own counter-based stream keyed on
 is a pure function of (config, seed, workers) - bit-identical on repeat runs
 - while different worker counts give statistically equivalent results.
 Within a worker, sampling proceeds in fixed chunks of 65536 trials (the
-chunk size is part of the reproducibility envelope); :func:`chunk_sizes` is
-the one place that splits trials into chunks, :func:`_run_workers` the one
-place that hands each worker its stream and block of trials, and
-:func:`_count_hits` the one loop that counts tail hits, for one threshold
-or several read from the same draws.  A sweep draws each (N, k) once, on
-the stream prefix (group index,), and counts every c of the group from the
-same norms: the rows of one group share their draws, so their hits are
-nested and the rows are dependent.
+chunk size is part of the reproducibility envelope).  :func:`_run_workers`
+is the one chunk loop: it hands each worker its stream and block of trials,
+draws the block chunk by chunk and feeds the draws to a reducer.  Every
+command samples through it (``tail``, ``sweep``, ``clt``, ``sample`` and the
+Gaussian reference tail), and :func:`_hits_over` is the one reducer that
+counts tail hits, for one threshold or several read from the same draws.
+A sweep draws each (N, k) once, on the stream prefix (group index,), and
+counts every c of the group from the same norms: the rows of one group
+share their draws, so their hits are nested and the rows are dependent.
 
 Norm conventions: the scaled residual Y_s = X/sqrt(2k) - z is the primary
 per-trial quantity.  The l2 event is ||Y_s||_2 > eps directly; the sup-norm
@@ -29,7 +30,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -196,43 +197,37 @@ def _sup(ys: np.ndarray) -> np.ndarray:
     return top
 
 
-def chunk_sizes(trials: int) -> Iterator[int]:
-    """Sizes of the batches that ``trials`` trials are drawn in, in order:
-    CHUNK each, then the remainder."""
-    check_trials(trials)
-    return (min(CHUNK, trials - start) for start in range(0, trials, CHUNK))
-
-
 def _partition(trials: int, workers: int) -> list[int]:
     base, extra = divmod(trials, workers)
     return [base + (1 if w < extra else 0) for w in range(workers)]
 
 
-def _run_workers(
-    seed: int,
-    workers: int,
-    trials: int,
-    worker_fn: Callable[[np.random.Generator, int], object],
-    prefix: tuple[int, ...] = (),
-) -> list:
-    """worker_fn(rng, t) for each worker's stream and block of trials.
+def _run_workers(seed: int, workers: int, trials: int, draw: Callable,
+                 reduce: Callable, prefix: tuple[int, ...] = ()) -> list:
+    """reduce(chunks) for each worker's stream and block of trials.
 
     Worker w gets worker_streams(seed, workers, prefix)[w] and the w-th
-    block of the static partition.  Results are returned in worker order
-    regardless of scheduling.  Workers beyond the first ``trials`` would
-    get no trials, so neither their streams nor their blocks are built.  The
-    pool has at most one thread per CPU; each logical worker keeps its own
-    stream and block of trials, so the results do not depend on the pool
-    size.
+    block of the static partition; ``chunks`` lazily yields draw(rng, m)
+    for m = CHUNK, ..., CHUNK, remainder over that block.  Results are
+    returned in worker order regardless of scheduling.  Workers beyond the
+    first ``trials`` would get no trials, so no stream is built for them.
+    The pool has at most one thread per CPU; each logical worker keeps its
+    own stream and block, so the results do not depend on the pool size.
     """
+    check_trials(trials)
     workers = min(workers, trials)
     streams = worker_streams(seed, workers, prefix=prefix)
+
+    def run(rng: np.random.Generator, t: int):
+        return reduce(draw(rng, min(CHUNK, t - start))
+                      for start in range(0, t, CHUNK))
+
     jobs = list(zip(streams, _partition(trials, workers)))
     if len(jobs) <= 1:
-        return [worker_fn(rng, t) for rng, t in jobs]
+        return [run(rng, t) for rng, t in jobs]
     threads = min(len(jobs), os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(worker_fn, rng, t) for rng, t in jobs]
+        futures = [pool.submit(run, rng, t) for rng, t in jobs]
         return [f.result() for f in futures]
 
 
@@ -260,26 +255,26 @@ def _count_hits(
     "sup" (the unscaled one)."""
     z = compute_zeros(cfg.n).zeros
     sqrt2k = math.sqrt(2.0 * cfg.k)
-    if norm == "l2":
-        event_norm = _l2
-    else:
-        def event_norm(ys: np.ndarray) -> np.ndarray:
-            return sqrt2k * _sup(ys)
 
-    def count(rng: np.random.Generator, t: int) -> list[int]:
-        hits = [0] * len(thresholds)
-        for m in chunk_sizes(t):
-            ys = _sampler.sample_eigenvalue_batch(cfg.n, cfg.k, rng, m)
-            ys /= sqrt2k
-            ys -= z
-            norms = event_norm(ys)
-            for i, eps in enumerate(thresholds):
-                hits[i] += int(np.count_nonzero(norms > eps))
-        return hits
+    def draw(rng: np.random.Generator, m: int) -> np.ndarray:
+        ys = _sampler.sample_eigenvalue_batch(cfg.n, cfg.k, rng, m)
+        ys /= sqrt2k
+        ys -= z
+        return _l2(ys) if norm == "l2" else sqrt2k * _sup(ys)
 
-    per_worker = _run_workers(cfg.seed, cfg.workers, cfg.trials, count,
+    per_worker = _run_workers(cfg.seed, cfg.workers, cfg.trials, draw,
+                              functools.partial(_hits_over, thresholds),
                               seed_prefix)
     return [sum(worker_hits) for worker_hits in zip(*per_worker)]
+
+
+def _hits_over(thresholds: list[float], chunks: Iterable) -> list[int]:
+    """Norms above each eps in ``thresholds``, over every chunk of norms."""
+    hits = [0] * len(thresholds)
+    for norms in chunks:
+        for i, eps in enumerate(thresholds):
+            hits[i] += int(np.count_nonzero(norms > eps))
+    return hits
 
 
 def _estimate_tail(
@@ -348,21 +343,20 @@ def clt_covariance_test(cfg: ExperimentConfig) -> CltReport:
     var_e = _sampler.chi_variance(_sampler._offdiag_dof(n, cfg.k)) / 2.0
     cov_g = np.diag(np.concatenate([np.ones(n), var_e]))
 
-    def accumulate(
-        rng: np.random.Generator, t: int
-    ) -> tuple[RunningMoments, RunningMoments]:
+    def accumulate(chunks) -> tuple[RunningMoments, RunningMoments]:
         acc_y = RunningMoments(n)
         acc_g = RunningMoments(2 * n - 1)
-        for m in chunk_sizes(t):
-            d, e = _sampler.sample_tridiagonal_batch(n, cfg.k, rng, m)
+        for d, e in chunks:
             acc_y.add_batch(_core.eigvals_batch(d, e) - sqrt2k * z)
             acc_g.add_batch(np.concatenate([d, e], axis=1))
         return acc_y, acc_g
 
     total_y = RunningMoments(n)
     total_g = RunningMoments(2 * n - 1)
-    for acc_y, acc_g in _run_workers(cfg.seed, cfg.workers, cfg.trials,
-                                     accumulate):
+    for acc_y, acc_g in _run_workers(
+            cfg.seed, cfg.workers, cfg.trials,
+            lambda rng, m: _sampler.sample_tridiagonal_batch(n, cfg.k, rng, m),
+            accumulate):
         total_y.merge(acc_y)
         total_g.merge(acc_g)
     mean = total_y.mean.copy()
@@ -400,14 +394,11 @@ def gaussian_reference_tail(
     check_confidence(confidence)
     scale = 1.0 / np.sqrt(np.arange(1, N + 1, dtype=float))
 
-    def count_hits(rng: np.random.Generator, t: int) -> int:
-        hits = 0
-        for m in chunk_sizes(t):
-            x = rng.standard_normal((m, N)) * scale
-            hits += int(np.count_nonzero(_l2(x) > eps))
-        return hits
+    def draw(rng: np.random.Generator, m: int) -> np.ndarray:
+        return _l2(rng.standard_normal((m, N)) * scale)
 
-    hits = sum(_run_workers(seed, 1, trials, count_hits))
+    [[hits]] = _run_workers(seed, 1, trials, draw,
+                            functools.partial(_hits_over, [eps]))
     return _tail_estimate(hits, trials, confidence)
 
 

@@ -315,6 +315,36 @@ def test_huge_n_saturates_instead_of_raising():
         assert bf.prop_bound(N, k, eps).term_quartic == want
 
 
+def test_overflowing_26k_and_subnormal_eps_against_mpmath():
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        N, k = 2**1000, 1e308
+        stirling = mp.mpf(N - 1) / (26 * mp.mpf(k))
+        # 26k overflows here: term_stirling read 0, and e_factor with it.
+        bd = bf.prop_bound(N, k, 1e-300)
+        assert bd.term_stirling == pytest.approx(float(stirling), rel=1e-15)
+        bd = bf.prop_bound(N, k, 3e-306)  # e_factor ~1 + 4e-9 here
+        quartic = mp.mpf(32) / 3 * mp.mpf(3e-306) ** 4 * k * mp.mpf(N) ** 3
+        assert bd.e_factor == pytest.approx(float(mp.exp(stirling - quartic)),
+                                            rel=1e-15)
+        # Where 26k is finite the term keeps the bits of (N - 1)/(26k).
+        for k_finite in (6.9e306, 1e4):
+            want = (N - 1) / (26.0 * k_finite)
+            assert bf.prop_bound(N, k_finite, 1e-300).term_stirling == want
+        # eps = c sqrt(ln k / k) is subnormal for these c: the first summand of
+        # the log-threshold bound was off by 2.7e-11, 1e-6 and 9e-5 relative.
+        for c in (1e-160, 1e-165, 3e-168):
+            assert bf.cor_eps(k, c) < 2.2250738585072014e-308
+            want = (mp.mpf(32) / 3 * mp.mpf(c) ** 4 * mp.mpf(N) ** 3
+                    * mp.log(k) ** 2 / k)
+            first, _ = bf.cor_bound_terms(N, k, c)
+            assert first == pytest.approx(float(want), rel=1e-12)
+        # A normal eps keeps the first summand bitwise term_quartic.
+        eps = bf.cor_eps(k, 1e-150)
+        assert bf.cor_bound_terms(N, k, 1e-150)[0] == bf.prop_bound(
+            N, k, eps).term_quartic
+
+
 # ----------------------------------------------------------------------
 # the input boundary, as a property
 # ----------------------------------------------------------------------

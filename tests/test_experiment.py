@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import betafreeze as bf
-from betafreeze import experiment
+from betafreeze import _core, experiment
 from betafreeze.cli import main
 from betafreeze.errors import MAX_N, ConvergenceFailure, InvalidConfig
 from betafreeze.experiment import CHUNK, SWEEP_COLUMNS, _partition, format_float
@@ -304,6 +304,29 @@ def test_clt_plain_diagnostic_is_the_empirical_covariance(
     assert not np.array_equal(rep.cov, rep.cov_plain)
 
 
+def test_clt_matches_manual_chunks_and_partition(zeros_cache):
+    # Re-derive mean and plain covariance by hand: worker w draws its block
+    # of the static partition from worker_streams(seed, W)[w] in chunks of
+    # CHUNK, then the remainder; the moments are accumulated chunk by chunk
+    # and merged in worker order.
+    n, k, seed, workers = 3, 50.0, 23, 2
+    trials = 2 * CHUNK + 3
+    rep = bf.clt_covariance_test(bf.ExperimentConfig(
+        n=n, k=k, trials=trials, seed=seed, workers=workers))
+    shift = math.sqrt(2.0 * k) * zeros_cache(n).zeros
+    blocks = _partition(trials, workers)
+    assert blocks == [CHUNK + 2, CHUNK + 1]
+    total = bf.RunningMoments(n)
+    for rng, t in zip(bf.worker_streams(seed, workers), blocks):
+        acc = bf.RunningMoments(n)
+        for m in (CHUNK, t - CHUNK):
+            d, e = bf.sample_tridiagonal_batch(n, k, rng, m)
+            acc.add_batch(_core.eigvals_batch(d, e) - shift)
+        total.merge(acc)
+    np.testing.assert_array_equal(rep.mean, total.mean)
+    np.testing.assert_array_equal(rep.cov_plain, total.covariance(ddof=1))
+
+
 def test_clt_control_variate_matches_exact_n2_covariance():
     # At n = 2, (l1 - l2)/sqrt2 ~ chi_{2k+1} and (l1 + l2)/sqrt2 ~ N(0, 1),
     # independent, so Cov(Y) = 1/2 [[1+v, 1-v], [1-v, 1+v]], v = Var chi_{2k+1}.
@@ -347,6 +370,20 @@ def test_gaussian_reference_tail_basics():
         bf.gaussian_reference_tail(3, 0.0, 100, 0)
     with pytest.raises(InvalidConfig):
         bf.gaussian_reference_tail(3, 1.0, 0, 0)
+
+
+def test_gaussian_reference_tail_matches_manual_chunks():
+    # One stream, worker_streams(seed, 1)[0], drawn in a chunk of CHUNK and
+    # then the remainder of 5.
+    N, eps, seed = 3, 1.5, 8
+    est = bf.gaussian_reference_tail(N, eps, CHUNK + 5, seed)
+    rng = bf.worker_streams(seed, 1)[0]
+    scale = 1.0 / np.sqrt(np.arange(1, N + 1, dtype=float))
+    hits = 0
+    for m in (CHUNK, 5):
+        x = rng.standard_normal((m, N)) * scale
+        hits += int(np.count_nonzero(np.sqrt(np.sum(x * x, axis=1)) > eps))
+    assert est.trials == CHUNK + 5 and est.hits == hits
 
 
 @pytest.mark.parametrize("kwargs", [{"seed": -1}, {"confidence": 1.5}])

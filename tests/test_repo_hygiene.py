@@ -1,5 +1,6 @@
-"""Repository hygiene: no tracked file is one that .gitignore ignores, and
-the package's own imports sit at module level and form no cycle."""
+"""Repository hygiene: no tracked file is one that .gitignore ignores, the
+package's own imports sit at module level and form no cycle, and one
+function splits trials into chunks and builds the worker streams."""
 
 import ast
 import shutil
@@ -62,3 +63,34 @@ def test_package_imports_at_module_level_without_cycles():
 
     for module in sorted(graph):
         visit(module)
+
+
+def _loads_by_owner(names):
+    """(module.owner, name) for each read of a name in ``names`` in
+    ``src/betafreeze``, a call included.  The owner is the top-level
+    function or class the read sits in (nested functions count for it), or
+    <module>."""
+    uses = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for top in tree.body:
+            owner = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name in names and isinstance(node.ctx, ast.Load):
+                    uses.add((f"{path.stem}.{owner}", name))
+    return uses
+
+
+def test_one_chunk_loop():
+    # experiment._run_workers is the only place that builds worker streams
+    # and splits trials into chunks; every sampling command draws through
+    # it, so the stream layout and the chunk split are written once.
+    uses = _loads_by_owner({"worker_streams", "CHUNK"})
+    assert uses == {("experiment._run_workers", "worker_streams"),
+                    ("experiment._run_workers", "CHUNK")}, sorted(uses)
