@@ -25,7 +25,6 @@ from .bounds import (
     BoundBreakdown,
     cor_bound,
     cor_bound_terms,
-    cor_condition,
     cor_eps,
     dette_imhof_bound,
     gaussian_tail_bound,
@@ -112,7 +111,6 @@ __all__ = [
     "prop_condition",
     "prop_bound",
     "cor_eps",
-    "cor_condition",
     "cor_bound",
     "cor_bound_terms",
     "dette_imhof_bound",

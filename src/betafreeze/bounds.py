@@ -151,15 +151,6 @@ def cor_eps(k: float, c: float) -> float:
     return eps
 
 
-def cor_condition(N: int, k: float, c: float) -> bool:
-    """:func:`prop_condition` at eps = :func:`cor_eps` (k, c).
-
-    In c, the window reads sqrt((1+ln N)/(2 ln k)) <= c <= (1/2)
-    sqrt(k/(N ln k)).
-    """
-    return prop_condition(N, k, cor_eps(k, c))
-
-
 def cor_bound_terms(N: int, k: float, c: float) -> tuple[float, float]:
     """The two summands of the log-threshold bound.
 
@@ -190,7 +181,9 @@ def cor_bound(N: int, k: float, c: float) -> float:
     """The log-threshold tail bound at (N, k, c).
 
     Like :func:`prop_bound`, it evaluates the formula everywhere; whether
-    (N, k, c) lies in the validity window is :func:`cor_condition`.
+    (N, k, c) lies in the validity window is :func:`prop_condition` at
+    eps = :func:`cor_eps` (k, c).  In c, the window reads
+    sqrt((1+ln N)/(2 ln k)) <= c <= (1/2) sqrt(k/(N ln k)).
     """
     first, second = cor_bound_terms(N, k, c)
     return first + second
@@ -252,7 +245,6 @@ __all__ = [
     "prop_condition",
     "prop_bound",
     "cor_eps",
-    "cor_condition",
     "cor_bound_terms",
     "cor_bound",
     "dette_imhof_bound",

@@ -230,13 +230,11 @@ def cmd_tail(args: argparse.Namespace) -> int:
     if args.eps is not None:
         check_threshold(args.eps)
     seed = _seed(args)
+    eps = args.eps if args.c is None else _bounds.cor_eps(args.k, args.c)
     cfg = ExperimentConfig(
-        n=args.n, k=args.k, trials=args.trials, seed=seed,
-        eps=args.eps, c=args.c, workers=args.workers,
-        confidence=args.confidence,
+        n=args.n, k=args.k, trials=args.trials, seed=seed, eps=eps,
+        workers=args.workers, confidence=args.confidence,
     )
-    cfg.validate()
-    eps = cfg.resolve_eps()
     with _result_stream(args.out) as stream:
         if args.norm == "l2":
             est = _experiment.estimate_tail_l2(cfg)
@@ -258,7 +256,6 @@ def cmd_tail(args: argparse.Namespace) -> int:
 def cmd_clt(args: argparse.Namespace) -> int:
     seed = _seed(args)
     cfg = ExperimentConfig(n=args.n, k=args.k, trials=args.trials, seed=seed)
-    cfg.validate()
     with _result_stream(args.out) as stream:
         report = _experiment.clt_covariance_test(cfg)
         stream.write(_csv_record({

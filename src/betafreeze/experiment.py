@@ -108,11 +108,12 @@ class CltReport:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Parameters of one Monte Carlo experiment.
+    """Parameters of one Monte Carlo experiment, checked when it is made.
 
-    Exactly one of ``eps`` (threshold) or ``c`` (log-threshold coefficient,
-    eps = c sqrt(ln k / k)) must be set for tail estimation; neither is
-    needed for the covariance test.
+    ``eps`` is the tail threshold, in (0, inf] (eps = inf is the event with
+    no hits); a tail estimate needs it, the covariance test does not read
+    it.  The log threshold eps = c sqrt(ln k / k) is
+    :func:`betafreeze.bounds.cor_eps` (k, c).
     """
 
     n: int
@@ -120,28 +121,18 @@ class ExperimentConfig:
     trials: int
     seed: int
     eps: float | None = None
-    c: float | None = None
     workers: int = 1
     confidence: float = 0.99
 
-    def validate(self) -> None:
+    def __post_init__(self):
         check_size(self.n)
         check_k(self.k)
         check_trials(self.trials)
         check_seed(self.seed)
         check_workers(self.workers)
         check_confidence(self.confidence)
-
-    def resolve_eps(self) -> float:
-        """The tail threshold.  eps = inf is the trivial event (no hits);
-        c must be finite, since eps = c sqrt(ln k / k) would be inf or NaN.
-        """
-        if (self.eps is None) == (self.c is None):
-            raise InvalidConfig("exactly one of eps or c must be given")
         if self.eps is not None:
             check_real(self.eps, "eps", 0.0, math.inf, closed_high=True)
-            return float(self.eps)
-        return _bounds.cor_eps(self.k, self.c)
 
 
 #: Row length from which the norms reduce along the row axis.  Below it
@@ -280,8 +271,9 @@ def _hits_over(thresholds: list[float], chunks: Iterable) -> list[int]:
 def _estimate_tail(
     cfg: ExperimentConfig, norm: str, seed_prefix: tuple[int, ...] = ()
 ) -> TailEstimate:
-    cfg.validate()
-    [hits] = _count_hits(cfg, norm, [cfg.resolve_eps()], seed_prefix)
+    if cfg.eps is None:
+        raise InvalidConfig("eps must be given for a tail estimate")
+    [hits] = _count_hits(cfg, norm, [float(cfg.eps)], seed_prefix)
     return _tail_estimate(hits, cfg.trials, cfg.confidence)
 
 
@@ -334,7 +326,6 @@ def clt_covariance_test(cfg: ExperimentConfig) -> CltReport:
     use.  The reference covariance is S^-1 from the spectral module,
     computed once per n.
     """
-    cfg.validate()
     n = cfg.n
     z = compute_zeros(n).zeros
     sigma = _limit_covariance(n)
@@ -361,7 +352,7 @@ def clt_covariance_test(cfg: ExperimentConfig) -> CltReport:
         total_g.merge(acc_g)
     mean = total_y.mean.copy()
     cov_plain, cov_g_emp = (
-        acc.covariance(ddof=1) if acc.count > 1 else acc.m2.copy()
+        acc.covariance() if acc.count > 1 else acc.m2.copy()
         for acc in (total_y, total_g)
     )
     cov = cov_plain + a @ (cov_g - cov_g_emp) @ a.T

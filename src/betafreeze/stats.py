@@ -86,11 +86,11 @@ class RunningMoments:
         self.mean += delta * (m / total)
         self.count = total
 
-    def covariance(self, ddof: int = 1) -> np.ndarray:
-        """Empirical covariance with the given delta degrees of freedom."""
-        if self.count <= ddof:
-            raise InvalidConfig(f"need more than {ddof} samples")
-        return self.m2 / (self.count - ddof)
+    def covariance(self) -> np.ndarray:
+        """Empirical covariance, M2 / (count - 1) (ddof = 1)."""
+        if self.count <= 1:
+            raise InvalidConfig("need more than 1 sample")
+        return self.m2 / (self.count - 1)
 
 
 __all__ = ["clopper_pearson", "RunningMoments"]

@@ -94,30 +94,34 @@ def test_cor_second_summand_is_coarsened_gaussian_term():
         _, second = bf.cor_bound_terms(N, k, c)
         rebuilt = bd.term_gaussian / bd.e_factor * math.sqrt(N)
         assert second == pytest.approx(rebuilt, rel=1e-12)
-        if bf.cor_condition(N, k, c):
+        if bf.prop_condition(N, k, eps):
             assert second >= bd.term_gaussian
 
 
 def test_cor_bound_evaluates_outside_the_window():
     # (2, 1e4, 1) satisfies the window; a huge c breaks the upper edge.
     # Like prop_bound, cor_bound evaluates the formula on both sides, and
-    # validity is read from cor_condition.
-    assert bf.cor_condition(2, 1e4, 1.0)
+    # validity is read from prop_condition at cor_eps.
+    assert bf.prop_condition(2, 1e4, bf.cor_eps(1e4, 1.0))
     val = bf.cor_bound(2, 1e4, 1.0)
     assert val == pytest.approx(0.72708775096072034045, rel=1e-12)
-    assert not bf.cor_condition(2, 1e4, 25.0)
+    assert not bf.prop_condition(2, 1e4, bf.cor_eps(1e4, 25.0))
     outside = bf.cor_bound(2, 1e4, 25.0)
     assert math.isfinite(outside)
     assert outside == sum(bf.cor_bound_terms(2, 1e4, 25.0))
 
 
 def test_cor_condition_matches_eps_window():
-    # On a grid away from the window edges the c-form and eps-form agree.
+    # On a grid away from the window edges, the window written in c,
+    # sqrt((1+ln N)/(2 ln k)) <= c <= (1/2) sqrt(k/(N ln k)), agrees with
+    # the eps window at eps = cor_eps(k, c).
     for N in (2, 3, 5, 10):
         for k in (50.0, 1e3, 1e4, 1e6):
             for c in (0.5, 1.0, 2.0, 5.0):
-                eps = bf.cor_eps(k, c)
-                assert bf.cor_condition(N, k, c) == bf.prop_condition(N, k, eps)
+                log_k = math.log(k)
+                in_c = (math.sqrt((1.0 + math.log(N)) / (2.0 * log_k)) <= c
+                        <= 0.5 * math.sqrt(k / (N * log_k)))
+                assert in_c == bf.prop_condition(N, k, bf.cor_eps(k, c))
 
 
 def test_condition_window_nonempty_iff():
@@ -247,7 +251,7 @@ def test_nonfinite_eps_and_c_rejected():
     with pytest.raises(InvalidConfig):
         bf.cor_eps(1e4, math.inf)
     with pytest.raises(InvalidConfig):
-        bf.ExperimentConfig(n=2, k=1e4, trials=10, seed=0, c=math.inf).resolve_eps()
+        bf.ExperimentConfig(n=2, k=1e4, trials=10, seed=0, eps=math.nan)
 
 
 def test_quartic_term_at_extreme_scales():
@@ -268,8 +272,8 @@ def test_quartic_term_at_extreme_scales():
     lambda: bf.cor_eps(math.inf, 1.0),
     lambda: bf.cor_bound(2, math.inf, 1.0),
     lambda: bf.prop_bound(2, math.inf, 0.1),
-    lambda: bf.cor_condition(2, math.inf, 1.0),
-    lambda: bf.cor_condition(2, 1e4, math.inf),
+    lambda: bf.prop_condition(2, math.inf, bf.cor_eps(math.inf, 1.0)),
+    lambda: bf.prop_condition(2, 1e4, bf.cor_eps(1e4, math.inf)),
     lambda: bf.gaussian_tail_bound(2, math.inf),
     lambda: bf.cor_bound(0, 1e4, 1.0),
 ], ids=["cor_eps", "cor_bound", "prop_bound", "cor_condition_k",

@@ -124,10 +124,27 @@ def test_tail_writes_file_and_is_deterministic(tmp_path):
                       "hits,p_hat,ci_low,ci_high")
     fields = row.split(",")
     assert fields[2] == "l2"
-    cfg = bf.ExperimentConfig(n=2, k=100.0, trials=5000, seed=3, c=1.0,
-                              workers=2)
+    cfg = bf.ExperimentConfig(n=2, k=100.0, trials=5000, seed=3,
+                              eps=bf.cor_eps(100.0, 1.0), workers=2)
     est = bf.estimate_tail_l2(cfg)
     assert int(fields[8]) == est.hits
+
+
+@pytest.mark.parametrize("n, k", [(2, 1e4), (5, 1e3)])
+@pytest.mark.parametrize("norm, c", [("l2", 0.5), ("sup", 30.0)])
+def test_tail_c_is_eps_of_cor_eps(tmp_path, n, k, norm, c):
+    # tail --c C counts at eps = cor_eps(k, C): the --out file is the one
+    # that --eps repr(cor_eps(k, C)) writes, byte for byte.
+    argv = ["tail", "--n", str(n), "--k", repr(k), "--norm", norm,
+            "--trials", "4000", "--seed", "9", "--workers", "2"]
+    outs = []
+    for flag, value in (("--c", c), ("--eps", bf.cor_eps(k, c))):
+        out = tmp_path / f"{flag[2:]}.csv"
+        assert main([*argv, flag, repr(value), "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    hits = int(outs[0].decode().splitlines()[1].split(",")[8])
+    assert 0 < hits < 4000
 
 
 def test_clt_output_schema():

@@ -83,11 +83,10 @@ PRECISION = _mostly(PAIR, st.sampled_from(
     [None, "p", [1.0, 2.0], np.eye(2), bf.compute_zeros(3)]))
 
 
-CONFIG = st.builds(
-    bf.ExperimentConfig, n=N, k=K, trials=COUNT, seed=SEED,
-    eps=st.one_of(st.none(), EPS), c=st.one_of(st.none(), C),
-    workers=WORKERS, confidence=CONFIDENCE,
-)
+#: The fields of an ExperimentConfig, which checks them when it is made.
+CONFIG = {"n": N, "k": K, "trials": COUNT, "seed": SEED,
+          "eps": st.one_of(st.none(), EPS), "workers": WORKERS,
+          "confidence": CONFIDENCE}
 PREFIX = st.lists(st.integers(0, 100), max_size=2).map(tuple)
 MARGIN_X = real(1.01, 1e6)
 MARGIN_XS = st.one_of(MARGIN_X, st.lists(MARGIN_X, max_size=3))
@@ -122,7 +121,7 @@ SPECS = {
         lambda p: bf.PrecisionSpectralPair(p.n, p.S, p.eigenvalues,
                                            p.chol_cov),
         {"p": PAIR}, 20),
-    "ExperimentConfig": (lambda cfg: cfg, {"cfg": CONFIG}, 20),
+    "ExperimentConfig": (bf.ExperimentConfig, CONFIG, 20),
     "HermiteZeros": (
         lambda n, z: bf.HermiteZeros(n, z),
         {"n": N, "z": ZEROS}, 50),
@@ -160,7 +159,6 @@ SPECS = {
         bf.prop_condition, {"N": N, "k": K, "eps": EPS}, 100),
     "prop_bound": (bf.prop_bound, {"N": N, "k": K, "eps": EPS}, 100),
     "cor_eps": (bf.cor_eps, {"k": K, "c": C}, 100),
-    "cor_condition": (bf.cor_condition, {"N": N, "k": K, "c": C}, 100),
     "cor_bound": (
         bf.cor_bound,
         {"N": N, "k": K, "c": C}, 100),
@@ -177,10 +175,16 @@ SPECS = {
          "confidence": CONFIDENCE}, 100),
     "RunningMoments": (bf.RunningMoments, {"dim": integer(1, 8)}, 50),
     "estimate_tail_l2": (
-        bf.estimate_tail_l2, {"cfg": CONFIG, "seed_prefix": PREFIX}, 60),
+        lambda seed_prefix, **cfg: bf.estimate_tail_l2(
+            bf.ExperimentConfig(**cfg), seed_prefix),
+        {**CONFIG, "seed_prefix": PREFIX}, 60),
     "estimate_tail_sup": (
-        bf.estimate_tail_sup, {"cfg": CONFIG, "seed_prefix": PREFIX}, 60),
-    "clt_covariance_test": (bf.clt_covariance_test, {"cfg": CONFIG}, 60),
+        lambda seed_prefix, **cfg: bf.estimate_tail_sup(
+            bf.ExperimentConfig(**cfg), seed_prefix),
+        {**CONFIG, "seed_prefix": PREFIX}, 60),
+    "clt_covariance_test": (
+        lambda **cfg: bf.clt_covariance_test(bf.ExperimentConfig(**cfg)),
+        CONFIG, 60),
     "gaussian_reference_tail": (
         bf.gaussian_reference_tail,
         {"N": N, "eps": EPS, "trials": COUNT, "seed": SEED,

@@ -22,32 +22,24 @@ from betafreeze.experiment import CHUNK, SWEEP_COLUMNS, _partition, format_float
 # ----------------------------------------------------------------------
 
 def test_config_validation():
-    good = bf.ExperimentConfig(n=3, k=10.0, trials=100, seed=1, eps=0.5)
-    good.validate()
-    assert good.resolve_eps() == 0.5
-    for bad in (
-        bf.ExperimentConfig(n=1, k=10.0, trials=100, seed=1, eps=0.5),
-        bf.ExperimentConfig(n=3, k=0.0, trials=100, seed=1, eps=0.5),
-        bf.ExperimentConfig(n=3, k=10.0, trials=0, seed=1, eps=0.5),
-        bf.ExperimentConfig(n=3, k=10.0, trials=100, seed=1, eps=0.5, workers=0),
-        bf.ExperimentConfig(n=3, k=10.0, trials=100, seed=1, eps=0.5,
-                            confidence=1.0),
-        bf.ExperimentConfig(n=3, k=10.0, trials=100, seed=-1, eps=0.5),
-    ):
-        with pytest.raises(InvalidConfig):
-            bad.validate()
-    # eps / c exclusivity
-    with pytest.raises(InvalidConfig):
-        bf.ExperimentConfig(n=3, k=10.0, trials=10, seed=1).resolve_eps()
-    with pytest.raises(InvalidConfig):
-        bf.ExperimentConfig(n=3, k=10.0, trials=10, seed=1,
-                            eps=0.5, c=1.0).resolve_eps()
-    with pytest.raises(InvalidConfig):
-        bf.ExperimentConfig(n=3, k=10.0, trials=10, seed=1,
-                            eps=-0.5).resolve_eps()
-    # c route delegates to the log-threshold formula
-    cfg_c = bf.ExperimentConfig(n=3, k=100.0, trials=10, seed=1, c=1.0)
-    assert cfg_c.resolve_eps() == bf.cor_eps(100.0, 1.0)
+    # A config checks its seven fields when it is made, so a bad value of
+    # any of them raises at ExperimentConfig(...) and no estimator checks
+    # it again.  The log threshold is cor_eps's; the config has no c.
+    assert [f.name for f in dataclasses.fields(bf.ExperimentConfig)] == [
+        "n", "k", "trials", "seed", "eps", "workers", "confidence"]
+    base = dict(n=3, k=10.0, trials=100, seed=1, eps=0.5, workers=1,
+                confidence=0.99)
+    assert bf.ExperimentConfig(**base).eps == 0.5
+    assert bf.ExperimentConfig(**{**base, "eps": math.inf}).eps == math.inf
+    for name, bad in [("n", 1), ("k", 0.0), ("trials", 0), ("seed", -1),
+                      ("eps", -0.5), ("workers", 0), ("confidence", 1.0)]:
+        with pytest.raises(InvalidConfig, match=f"{name} must be"):
+            bf.ExperimentConfig(**{**base, name: bad})
+    # Only a tail estimate needs eps.
+    no_eps = bf.ExperimentConfig(n=3, k=10.0, trials=10, seed=1)
+    for estimate in (bf.estimate_tail_l2, bf.estimate_tail_sup):
+        with pytest.raises(InvalidConfig, match="eps must be given"):
+            estimate(no_eps)
 
 
 def test_partition_covers_trials():
@@ -324,7 +316,7 @@ def test_clt_matches_manual_chunks_and_partition(zeros_cache):
             acc.add_batch(_core.eigvals_batch(d, e) - shift)
         total.merge(acc)
     np.testing.assert_array_equal(rep.mean, total.mean)
-    np.testing.assert_array_equal(rep.cov_plain, total.covariance(ddof=1))
+    np.testing.assert_array_equal(rep.cov_plain, total.covariance())
 
 
 def test_clt_control_variate_matches_exact_n2_covariance():

@@ -22,8 +22,8 @@ from betafreeze.errors import InvalidConfig
 
 
 def _tail(norm="l2", n=3, trials=50, seed=1, workers=1):
-    cfg = bf.ExperimentConfig(n=n, k=1e3, trials=trials, seed=seed, c=1.0,
-                              workers=workers)
+    cfg = bf.ExperimentConfig(n=n, k=1e3, trials=trials, seed=seed,
+                              eps=bf.cor_eps(1e3, 1.0), workers=workers)
     return (bf.estimate_tail_l2 if norm == "l2" else bf.estimate_tail_sup)(cfg)
 
 
@@ -67,7 +67,8 @@ INTEGER_PARAMETERS = {
     "mh_oracle_chain-draws": (lambda v: _oracle(draws=v), 3),
     "prop_condition-N": (lambda v: bf.prop_condition(v, 1e4, 0.01), 3),
     "prop_bound-N": (lambda v: bf.prop_bound(v, 1e4, 0.01), 3),
-    "cor_condition-N": (lambda v: bf.cor_condition(v, 1e4, 1.0), 3),
+    "cor_condition-N": (
+        lambda v: bf.prop_condition(v, 1e4, bf.cor_eps(1e4, 1.0)), 3),
     "cor_bound_terms-N": (lambda v: bf.cor_bound_terms(v, 1e4, 1.0), 3),
     "cor_bound-N": (lambda v: bf.cor_bound(v, 1e4, 1.0), 3),
     "dette_imhof_bound-N": (lambda v: bf.dette_imhof_bound(v, 1.0), 3),
@@ -135,11 +136,9 @@ def test_sweep_does_not_truncate_n():
 # ----------------------------------------------------------------------
 
 def _cfg(**kw):
-    base = dict(n=3, k=1e3, trials=50, seed=1, c=1.0)
-    base.update(kw)
-    if "eps" in kw:
-        base.pop("c")
-    return bf.ExperimentConfig(**base)
+    return bf.ExperimentConfig(
+        **{"n": 3, "k": 1e3, "trials": 50, "seed": 1,
+           "eps": bf.cor_eps(1e3, 1.0), **kw})
 
 
 #: (parameter, call with that parameter set to v, a valid float value).
@@ -150,8 +149,10 @@ REAL_PARAMETERS = {
     "prop_bound-eps": (lambda v: bf.prop_bound(3, 1e4, v), 0.01),
     "cor_eps-k": (lambda v: bf.cor_eps(v, 1.0), 1e4),
     "cor_eps-c": (lambda v: bf.cor_eps(1e4, v), 1.0),
-    "cor_condition-k": (lambda v: bf.cor_condition(3, v, 1.0), 1e4),
-    "cor_condition-c": (lambda v: bf.cor_condition(3, 1e4, v), 1.0),
+    "cor_condition-k": (
+        lambda v: bf.prop_condition(3, v, bf.cor_eps(v, 1.0)), 1e4),
+    "cor_condition-c": (
+        lambda v: bf.prop_condition(3, 1e4, bf.cor_eps(1e4, v)), 1.0),
     "cor_bound_terms-k": (lambda v: bf.cor_bound_terms(3, v, 1.0), 1e4),
     "cor_bound_terms-c": (lambda v: bf.cor_bound_terms(3, 1e4, v), 1.0),
     "cor_bound-k": (lambda v: bf.cor_bound(3, v, 1.0), 1e4),
@@ -174,7 +175,8 @@ REAL_PARAMETERS = {
     "estimate_tail_l2-k": (lambda v: bf.estimate_tail_l2(_cfg(k=v)), 1e3),
     "estimate_tail_l2-eps": (
         lambda v: bf.estimate_tail_l2(_cfg(eps=v)), 0.1),
-    "estimate_tail_l2-c": (lambda v: bf.estimate_tail_l2(_cfg(c=v)), 1.0),
+    "estimate_tail_l2-c": (
+        lambda v: bf.estimate_tail_l2(_cfg(eps=bf.cor_eps(1e3, v))), 1.0),
     "estimate_tail_l2-confidence": (
         lambda v: bf.estimate_tail_l2(_cfg(confidence=v)), 0.9),
     "estimate_tail_sup-eps": (
@@ -247,7 +249,7 @@ REAL_DOMAINS = {
     "confidence in (0, 1)": (lambda v: bf.clopper_pearson(1, 10, v),
                              [1e-9, 0.999], [0.0, 1.0, -math.inf]),
     "eps in (0, inf]": (
-        lambda v: _cfg(eps=v).resolve_eps(),
+        lambda v: _cfg(eps=v),
         [5e-324, math.inf], [0.0, -math.inf]),
     "eps in [0, inf]": (lambda v: bf.dette_imhof_bound(2, v),
                         [0.0, math.inf], [-5e-324, -math.inf]),
@@ -372,7 +374,7 @@ def test_zero_vectors_and_batches_accept_integer_arrays():
     lambda: bf.dette_imhof_bound(10**400, 1.0),
     lambda: bf.cor_eps(1e300, 1e-200),
     lambda: bf.cor_bound(2, 1e300, 1e-200),
-    lambda: bf.cor_condition(2, 1e300, 1e-200),
+    lambda: bf.prop_condition(2, 1e300, bf.cor_eps(1e300, 1e-200)),
 ], ids=["precision-tiny-gap", "power_sum-tiny-gap", "power_sum-4-tiny-gap",
         "gap-norm", "residual-subnormal-gap", "residual-gap",
         "min_gap-gap", "prop_bound-N", "cor_bound_terms-N", "dette_imhof-N",

@@ -1,13 +1,17 @@
 """Repository hygiene: no tracked file is one that .gitignore ignores, the
-package's own imports sit at module level and form no cycle, and one
-function splits trials into chunks and builds the worker streams."""
+package's own imports sit at module level and form no cycle, one function
+splits trials into chunks and builds the worker streams, and every name the
+package exports is read somewhere outside ``__init__``."""
 
 import ast
+import re
 import shutil
 import subprocess
 from pathlib import Path
 
 import pytest
+
+import betafreeze as bf
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "betafreeze"
@@ -94,3 +98,27 @@ def test_one_chunk_loop():
     uses = _loads_by_owner({"worker_streams", "CHUNK"})
     assert uses == {("experiment._run_workers", "worker_streams"),
                     ("experiment._run_workers", "CHUNK")}, sorted(uses)
+
+
+def _loaded_names(source: str) -> set[str]:
+    """Every name read in ``source``, as a Name or an Attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_export_is_read():
+    # The package docstring's rule: each name in betafreeze.__all__ is read
+    # by another module of the package, the benchmark, the acceptance tests
+    # or README's example; an export that none of them reads is dead API.
+    paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.stem != "__init__"]
+    paths += sorted((ROOT / "perfbench").glob("*.py"))
+    paths.append(ROOT / "tests" / "test_acceptance.py")
+    sources = [p.read_text() for p in paths]
+    sources += re.findall(r"^```python\n(.*?)^```$",
+                          (ROOT / "README.md").read_text(),
+                          re.MULTILINE | re.DOTALL)
+    loaded = set().union(*map(_loaded_names, sources))
+    unread = [name for name in bf.__all__ if name not in loaded]
+    assert not unread, f"exported but read nowhere: {unread}"

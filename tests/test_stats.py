@@ -86,11 +86,7 @@ def test_moments_match_numpy(rng):
     acc.add_batch(y)
     np.testing.assert_allclose(acc.mean, y.mean(axis=0), rtol=1e-12, atol=1e-14)
     np.testing.assert_allclose(
-        acc.covariance(ddof=1), np.cov(y, rowvar=False), rtol=1e-10, atol=1e-14
-    )
-    np.testing.assert_allclose(
-        acc.covariance(ddof=0), np.cov(y, rowvar=False, ddof=0),
-        rtol=1e-10, atol=1e-14,
+        acc.covariance(), np.cov(y, rowvar=False), rtol=1e-10, atol=1e-14
     )
     assert acc.count == 5000
 
