@@ -388,10 +388,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.func(args)
-    except InvalidConfig as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InvalidConfig, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BetafreezeError as exc:
@@ -401,7 +398,3 @@ def main(argv: list[str] | None = None) -> int:
 
 def main_entry() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    main_entry()

@@ -324,7 +324,7 @@ def clt_covariance_test(cfg: ExperimentConfig) -> CltReport:
     chunked and merged in worker order (deterministic); A is applied once,
     to the merged moments.  The draws are the ones the tail experiments
     use.  The reference covariance is S^-1 from the spectral module,
-    computed once per n.
+    computed once per n.  A covariance needs at least 2 trials.
     """
     n = cfg.n
     z = compute_zeros(n).zeros
@@ -351,10 +351,7 @@ def clt_covariance_test(cfg: ExperimentConfig) -> CltReport:
         total_y.merge(acc_y)
         total_g.merge(acc_g)
     mean = total_y.mean.copy()
-    cov_plain, cov_g_emp = (
-        acc.covariance() if acc.count > 1 else acc.m2.copy()
-        for acc in (total_y, total_g)
-    )
+    cov_plain, cov_g_emp = total_y.covariance(), total_g.covariance()
     cov = cov_plain + a @ (cov_g - cov_g_emp) @ a.T
     sigma_norm = float(np.linalg.norm(sigma))
     return CltReport(

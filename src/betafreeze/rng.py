@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from .errors import InvalidConfig, check_seed, check_workers
+from .errors import InvalidConfig, check_integer, check_seed, check_workers
 
 #: Environment variable consulted by the CLI for a default seed.
 SEED_ENV_VAR = "BETAFREEZE_SEED"
@@ -50,10 +50,15 @@ def worker_streams(
 
     Stream ``w`` is keyed on ``(seed, *prefix, w)`` via a spawn key, so the
     set of streams is splittable and deterministic. ``prefix`` namespaces
-    sub-experiments (e.g. one grid point of a sweep) without collisions.
+    sub-experiments (e.g. one grid point of a sweep) without collisions; it
+    is a tuple of integers >= 0.
     """
     check_seed(seed)
     check_workers(workers)
+    if not isinstance(prefix, tuple):
+        raise InvalidConfig(f"prefix must be a tuple, got {prefix!r}")
+    for entry in prefix:
+        check_integer(entry, "prefix entry", 0)
     return [
         np.random.Generator(
             np.random.Philox(np.random.SeedSequence(seed, spawn_key=prefix + (w,)))

@@ -96,7 +96,7 @@ def chi_variance(df):
         + u * (1.0 / 192.0 + u * (-1.0 / 640.0
         + u * (17.0 / 14336.0 - u * (31.0 / 18432.0))))
     ) / xs + 0.5 * np.log1p(steps / x)
-    for i in range(int(np.max(steps))):
+    for i in range(int(steps.max(initial=0.0))):
         log_ratio -= np.where(i < steps, np.log1p(0.5 / (x + i)), 0.0)
     out = np.where(df < _CHI_VAR_LINEAR_BELOW, df,
                    -2.0 * x * np.expm1(2.0 * log_ratio))

@@ -74,6 +74,9 @@ class RunningMoments:
         self._fold(m, batch_mean, batch_m2)
 
     def merge(self, other: "RunningMoments") -> None:
+        if not isinstance(other, RunningMoments):
+            raise InvalidConfig(
+                f"can only merge a RunningMoments, got {type(other).__name__}")
         if other.mean.size != self.mean.size:
             raise InvalidConfig("dimension mismatch in merge")
         if other.count:
@@ -89,7 +92,8 @@ class RunningMoments:
     def covariance(self) -> np.ndarray:
         """Empirical covariance, M2 / (count - 1) (ddof = 1)."""
         if self.count <= 1:
-            raise InvalidConfig("need more than 1 sample")
+            raise InvalidConfig(
+                f"a covariance needs at least 2 samples, got {self.count}")
         return self.m2 / (self.count - 1)
 
 

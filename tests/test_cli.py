@@ -19,7 +19,7 @@ from betafreeze import _core, cli, hermite_core
 from betafreeze import experiment as _experiment
 from betafreeze import sampler as _sampler
 from betafreeze.cli import main
-from betafreeze.errors import MAX_N, ConvergenceFailure
+from betafreeze.errors import MAX_N, ConvergenceFailure, InvalidConfig
 from betafreeze.experiment import CHUNK
 
 
@@ -57,11 +57,18 @@ def test_zeros_json_schema(zeros_cache):
     assert payload["potential_gap"] <= 1e-8
 
 
-def test_verify_passes_and_fails():
+def test_verify_passes_and_fails(monkeypatch, capsys):
     r = run_cli("verify", "--n", "12")
     assert r.returncode == 0
     assert "all 9 checks passed" in r.stdout
     assert r.stdout.count(" ok") == 9
+    monkeypatch.setattr(cli, "min_gap", lambda z: 0.0)
+    assert main(["verify", "--n", "12"]) == 3
+    out = capsys.readouterr().out
+    assert "verify n=12: 1 of 9 checks FAILED" in out
+    assert out.count(" ok") == 8
+    [failed] = [line for line in out.splitlines() if line.endswith(" FAIL")]
+    assert failed.startswith("min_gap_above_floor: value=0")
 
 
 def test_sample_schema_and_seed_env():
@@ -254,6 +261,33 @@ def test_invalid_sweep_config_values(tmp_path):
     assert r.returncode == 2
     assert r.stdout == ""
     assert "unknown config key 'worker'" in r.stderr
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "config must be a JSON object"),
+    (json.dumps({"n": [2], "k": [1e3], "c": [1.0]}),
+     "config key 'trials' is required"),
+], ids=["not-an-object", "no-trials"])
+def test_sweep_config_shape_rejected(text, message, tmp_path, capsys):
+    path = tmp_path / "grid.json"
+    path.write_text(text)
+    assert main(["sweep", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_clt_needs_two_trials(tmp_path, capsys):
+    # One trial reported a covariance that no sample measured.
+    out = tmp_path / "clt.csv"
+    assert main(["clt", "--n", "2", "--k", "10", "--trials", "1",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "a covariance needs at least 2 samples, got 1" in captured.err
+    with pytest.raises(InvalidConfig, match="at least 2 samples"):
+        bf.clt_covariance_test(bf.ExperimentConfig(n=5, k=1e4, trials=1, seed=0))
 
 
 @pytest.mark.parametrize("cfg", [
@@ -451,7 +485,8 @@ def test_size_above_cap_rejected(command, n, tmp_path, capsys):
 def test_sizes_up_to_the_cap_run(command, tmp_path, capsys):
     # The Hermite zeros' residual bound grows with n, so the largest sizes
     # work; they share the cached zeros.  clt runs at n = 1000, since at
-    # the cap its n x n moment arrays need about 1 GB.
+    # the cap its n x n moment arrays need about 1 GB, and with 2 trials,
+    # the fewest a covariance takes.
     n = str(MAX_N)
     argv = {
         "zeros": ["zeros", "--n", n],
@@ -463,7 +498,7 @@ def test_sizes_up_to_the_cap_run(command, tmp_path, capsys):
                      "sup", "--trials", "1"],
         "sweep": ["sweep", "--config", _sweep_config(
             str(tmp_path / "grid.json"), MAX_N, 1e4, 1.0, 1)],
-        "clt": ["clt", "--n", "1000", "--k", "1e4", "--trials", "1"],
+        "clt": ["clt", "--n", "1000", "--k", "1e4", "--trials", "2"],
     }[command]
     assert main(argv) == 0
     captured = capsys.readouterr()

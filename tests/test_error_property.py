@@ -11,9 +11,10 @@ else NaN, +-inf, 0, a negative value, None, a str, a bool or, for an
 integer, a float (whole ones among them); a real may also be an int beyond
 float range.  Zero vectors and precision pairs do the same, with values
 that are not one (a scalar, a str, a 2-D, ragged or one-entry array, a
-NaN or infinite entry, a bool or complex dtype).  Generators draw valid
-values only.  Sizes stay at n <= 8 and counts at <= 50, so each example
-is cheap.
+NaN or infinite entry, a bool or complex dtype).  A stream prefix does the
+same, with a negative, fractional, str or bool entry or a list for a tuple.
+Generators draw valid values only.  Sizes stay at n <= 8 and counts at
+<= 50, so each example is cheap.
 """
 
 import math
@@ -87,7 +88,9 @@ PRECISION = _mostly(PAIR, st.sampled_from(
 CONFIG = {"n": N, "k": K, "trials": COUNT, "seed": SEED,
           "eps": st.one_of(st.none(), EPS), "workers": WORKERS,
           "confidence": CONFIDENCE}
-PREFIX = st.lists(st.integers(0, 100), max_size=2).map(tuple)
+PREFIX = _mostly(
+    st.lists(st.integers(0, 100), max_size=2).map(tuple),
+    st.sampled_from([(-1,), (1.5,), [1], ("a",), (True,)]))
 MARGIN_X = real(1.01, 1e6)
 MARGIN_XS = st.one_of(MARGIN_X, st.lists(MARGIN_X, max_size=3))
 DOF = real(0.01, 1e6)

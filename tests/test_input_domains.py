@@ -37,8 +37,8 @@ def _sweep(ns=(3,), trials=20, seed=1, workers=1):
     return bf.sweep(ns, [1e3], [1.0], trials=trials, seed=seed, workers=workers)
 
 
-def _streams(seed=1, workers=2):
-    return [g.random(3) for g in bf.worker_streams(seed, workers)]
+def _streams(seed=1, workers=2, prefix=()):
+    return [g.random(3) for g in bf.worker_streams(seed, workers, prefix)]
 
 
 def _tridiagonal(n=3, trials=4):
@@ -123,6 +123,21 @@ def test_integer_parameter_domain(call, good):
         with pytest.raises(InvalidConfig, match="must be an integer"):
             call(bad)
     _assert_same(call(np.int64(good)), call(good))
+
+
+@pytest.mark.parametrize("prefix", [(-1,), (1.5,), [1], ("a",), (True,)],
+                         ids=["negative", "float", "list", "str", "bool"])
+def test_stream_prefix_rejected(prefix):
+    # These raised NumPy's ValueError or a TypeError, and (True,) ran.
+    with pytest.raises(InvalidConfig, match="prefix"):
+        bf.worker_streams(1, 2, prefix)
+    cfg = bf.ExperimentConfig(n=2, k=1e4, trials=10, seed=1, eps=1.0)
+    with pytest.raises(InvalidConfig, match="prefix"):
+        bf.estimate_tail_l2(cfg, seed_prefix=prefix)
+
+
+def test_stream_prefix_accepts_numpy_integers():
+    _assert_same(_streams(prefix=(np.int64(3), 0)), _streams(prefix=(3, 0)))
 
 
 def test_sweep_does_not_truncate_n():
@@ -308,6 +323,12 @@ def test_array_reals_accept_integer_arrays():
     _assert_same(bf.chi_variance(np.array([3, 4])), bf.chi_variance([3.0, 4.0]))
     _assert_same(bf.stirling_bound_margins(np.array([2, 30])),
                  bf.stirling_bound_margins([2.0, 30.0]))
+
+
+def test_empty_dof_gives_empty_result():
+    # chi_variance([]) raised NumPy's "zero-size array" ValueError.
+    _assert_same(bf.chi_variance([]), np.array([]))
+    _assert_same(bf.sample_chi(bf.master_stream(1), []), np.array([]))
 
 
 # ----------------------------------------------------------------------

@@ -134,5 +134,26 @@ def test_moments_single_row_and_empty():
     empty = bf.RunningMoments(2)
     acc.merge(empty)  # merging an empty accumulator is a no-op
     assert acc.count == 1
+    acc.add_batch(np.zeros((0, 2)))  # an empty batch is a no-op too
+    assert acc.count == 1
+    np.testing.assert_array_equal(acc.mean, [1.0, 2.0])
+    np.testing.assert_array_equal(acc.m2, np.zeros((2, 2)))
+    with pytest.raises(InvalidConfig,
+                       match="a covariance needs at least 2 samples, got 1"):
+        acc.covariance()
     with pytest.raises(InvalidConfig):
         acc.add_batch(np.zeros((3, 5)))  # wrong dimension
+
+
+@pytest.mark.parametrize("other", [5, None, np.zeros(2)])
+def test_moments_merge_takes_only_running_moments(other):
+    # merge(5) raised AttributeError.
+    with pytest.raises(InvalidConfig, match="can only merge a RunningMoments"):
+        bf.RunningMoments(2).merge(other)
+
+
+def test_moments_merge_dimension_mismatch():
+    wide = bf.RunningMoments(3)
+    wide.add_batch(np.ones((2, 3)))
+    with pytest.raises(InvalidConfig, match="dimension mismatch in merge"):
+        bf.RunningMoments(2).merge(wide)
