@@ -12,7 +12,8 @@ This package provides:
 - reproducible Monte Carlo experiments and sweeps (experiment)
 
 Every name exported here is used by the command line, the benchmark in
-``perfbench/``, the acceptance tests or another module of the package.
+``perfbench/``, the acceptance tests or another module of the package, and
+each of its parameters with a default is set by one of them.
 
 Eigenvalues of the tridiagonal model come from ``betafreeze._core.eigvals_batch``:
 the exact 2 x 2 formula at N = 2, certified Newton refinement of the

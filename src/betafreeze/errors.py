@@ -9,11 +9,13 @@ Python or NumPy integer, never a ``bool``, a float (2.0 included) or a
 ``str``.  Every scalar real (k, eps, c, confidence, a bound's r) is a
 Python or NumPy real, never a ``bool``, ``str`` or ``None``, in an interval
 with open or closed ends (:func:`check_real`): never NaN, and finite unless
-an infinite end is closed (eps = inf is the event with no hits).  Nothing is
-truncated or converted on the way in.  A zero vector is checked by
-``hermite_core._as_zero_vector``: a 1-D array of at least 2 finite numbers.
-An array comes in through :func:`as_array`, so a ragged sequence is
-rejected like any other non-numeric array.
+an infinite end is closed (the baseline's unscaled threshold and the
+Chernoff exponent r).  A tail threshold eps is positive and finite.
+Nothing is truncated or converted on the way in, and a message shows the
+value it rejects through :func:`shown`, which no int is too long for.  A
+zero vector is checked by ``hermite_core._as_zero_vector``: a 1-D array of
+at least 2 finite numbers.  An array comes in through :func:`as_array`, so
+a ragged sequence is rejected like any other non-numeric array.
 """
 
 import math
@@ -51,12 +53,26 @@ def as_array(value) -> np.ndarray:
         return np.empty(0, dtype=object)
 
 
+def shown(value, render=str) -> str:
+    """``render(value)`` (``str`` or ``repr``) for an error message.  Python
+    renders no int past 4300 digits (``sys.get_int_max_str_digits``): such
+    an int is shown by its size, and anything that holds one by its type."""
+    try:
+        return render(value)
+    except ValueError:
+        if not isinstance(value, int):
+            return f"a {type(value).__name__}"
+        sign = "a negative" if value < 0 else "an"
+        return f"{sign} int of {value.bit_length()} bits"
+
+
 def check_integer(value, name: str, low: int) -> None:
     """A count or seed: an integer (not a bool) >= low."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+        raise InvalidConfig(
+            f"{name} must be an integer, got {shown(value, repr)}")
     if value < low:
-        raise InvalidConfig(f"{name} must be >= {low}, got {value}")
+        raise InvalidConfig(f"{name} must be >= {low}, got {shown(value)}")
 
 
 def check_n(n: int, name: str = "n") -> None:
@@ -64,16 +80,15 @@ def check_n(n: int, name: str = "n") -> None:
     closed-form bounds compute with it as one)."""
     check_integer(n, name, 2)
     if n > sys.float_info.max:
-        # Not printed: str() of an int past 4300 digits raises ValueError.
-        raise InvalidConfig(
-            f"{name} must be <= {sys.float_info.max:g} to fit a float")
+        raise InvalidConfig(f"{name} must be <= {sys.float_info.max:g} to fit "
+                            f"a float, got {shown(n)}")
 
 
 def check_size(n: int, name: str = "n") -> None:
     """The size of an ensemble the program samples or solves: 2 <= n <= MAX_N."""
     check_integer(n, name, 2)
     if n > MAX_N:
-        raise InvalidConfig(f"{name} must be <= {MAX_N}, got {n}")
+        raise InvalidConfig(f"{name} must be <= {MAX_N}, got {shown(n)}")
 
 
 def check_real(value, name: str, low: float = -math.inf,
@@ -83,14 +98,15 @@ def check_real(value, name: str, low: float = -math.inf,
     NumPy real (not a bool; an int must fit a float), never NaN, infinite
     only at a closed end, and not converted.  ``domain`` words the message."""
     if isinstance(value, bool) or not isinstance(value, _REAL_TYPES):
-        raise InvalidConfig(f"{name} must be a real number, got {value!r}")
+        raise InvalidConfig(
+            f"{name} must be a real number, got {shown(value, repr)}")
     # NaN fails both comparisons, whatever the ends.
     if not ((low <= value if closed_low else low < value)
             and (value <= high if closed_high else value < high)) or (
             isinstance(value, int) and abs(value) > sys.float_info.max):
         domain = domain or (f"in {'[' if closed_low else '('}{low:g}, "
                             f"{high:g}{']' if closed_high else ')'}")
-        raise InvalidConfig(f"{name} must be {domain}, got {value}")
+        raise InvalidConfig(f"{name} must be {domain}, got {shown(value)}")
 
 
 def check_k(k: float) -> None:
@@ -147,6 +163,7 @@ __all__ = [
     "FactorizationFailure",
     "MAX_N",
     "as_array",
+    "shown",
     "check_integer",
     "check_real",
     "check_n",

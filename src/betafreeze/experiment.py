@@ -41,12 +41,12 @@ from .errors import (
     InvalidConfig,
     check_confidence,
     check_k,
-    check_real,
     check_seed,
     check_size,
     check_threshold,
     check_trials,
     check_workers,
+    shown,
 )
 from .hermite_core import compute_zeros
 from .rng import worker_streams
@@ -73,7 +73,6 @@ class TailEstimate:
     p_hat: float
     ci_low: float
     ci_high: float
-    confidence: float = 0.99
 
 
 @dataclass(frozen=True)
@@ -110,10 +109,9 @@ class CltReport:
 class ExperimentConfig:
     """Parameters of one Monte Carlo experiment, checked when it is made.
 
-    ``eps`` is the tail threshold, in (0, inf] (eps = inf is the event with
-    no hits); a tail estimate needs it, the covariance test does not read
-    it.  The log threshold eps = c sqrt(ln k / k) is
-    :func:`betafreeze.bounds.cor_eps` (k, c).
+    ``eps`` is the tail threshold, positive and finite; a tail estimate
+    needs it, the covariance test does not read it.  The log threshold
+    eps = c sqrt(ln k / k) is :func:`betafreeze.bounds.cor_eps` (k, c).
     """
 
     n: int
@@ -132,7 +130,7 @@ class ExperimentConfig:
         check_workers(self.workers)
         check_confidence(self.confidence)
         if self.eps is not None:
-            check_real(self.eps, "eps", 0.0, math.inf, closed_high=True)
+            check_threshold(self.eps)
 
 
 #: Row length from which the norms reduce along the row axis.  Below it
@@ -223,27 +221,16 @@ def _run_workers(seed: int, workers: int, trials: int, draw: Callable,
 
 
 def _tail_estimate(hits: int, trials: int, confidence: float) -> TailEstimate:
-    lo, hi = clopper_pearson(hits, trials, confidence)
-    return TailEstimate(
-        trials=trials,
-        hits=hits,
-        p_hat=hits / trials,
-        ci_low=lo,
-        ci_high=hi,
-        confidence=confidence,
-    )
+    return TailEstimate(trials, hits, hits / trials,
+                        *clopper_pearson(hits, trials, confidence))
 
 
-def _count_hits(
-    cfg: ExperimentConfig,
-    norm: str,
-    thresholds: list[float],
-    seed_prefix: tuple[int, ...] = (),
-) -> list[int]:
+def _count_hits(cfg: ExperimentConfig, norm: str, thresholds: list[float],
+                prefix: tuple[int, ...] = ()) -> list[int]:
     """Trials with norm > eps, for each eps in ``thresholds``, all counted
-    from one set of ``cfg.trials`` draws at (cfg.n, cfg.k) on the stream
-    prefix ``seed_prefix``.  ``norm`` is "l2" (the scaled residual) or
-    "sup" (the unscaled one)."""
+    from one set of ``cfg.trials`` draws at (cfg.n, cfg.k) on
+    ``worker_streams(cfg.seed, cfg.workers, prefix)``.  ``norm`` is "l2"
+    (the scaled residual) or "sup" (the unscaled one)."""
     z = compute_zeros(cfg.n).zeros
     sqrt2k = math.sqrt(2.0 * cfg.k)
 
@@ -255,7 +242,7 @@ def _count_hits(
 
     per_worker = _run_workers(cfg.seed, cfg.workers, cfg.trials, draw,
                               functools.partial(_hits_over, thresholds),
-                              seed_prefix)
+                              prefix)
     return [sum(worker_hits) for worker_hits in zip(*per_worker)]
 
 
@@ -268,27 +255,21 @@ def _hits_over(thresholds: list[float], chunks: Iterable) -> list[int]:
     return hits
 
 
-def _estimate_tail(
-    cfg: ExperimentConfig, norm: str, seed_prefix: tuple[int, ...] = ()
-) -> TailEstimate:
+def _estimate_tail(cfg: ExperimentConfig, norm: str) -> TailEstimate:
     if cfg.eps is None:
         raise InvalidConfig("eps must be given for a tail estimate")
-    [hits] = _count_hits(cfg, norm, [float(cfg.eps)], seed_prefix)
+    [hits] = _count_hits(cfg, norm, [float(cfg.eps)])
     return _tail_estimate(hits, cfg.trials, cfg.confidence)
 
 
-def estimate_tail_l2(
-    cfg: ExperimentConfig, seed_prefix: tuple[int, ...] = ()
-) -> TailEstimate:
+def estimate_tail_l2(cfg: ExperimentConfig) -> TailEstimate:
     """P( ||X/sqrt(2k) - z||_2 > eps ), Monte Carlo with exact binomial CI."""
-    return _estimate_tail(cfg, "l2", seed_prefix)
+    return _estimate_tail(cfg, "l2")
 
 
-def estimate_tail_sup(
-    cfg: ExperimentConfig, seed_prefix: tuple[int, ...] = ()
-) -> TailEstimate:
+def estimate_tail_sup(cfg: ExperimentConfig) -> TailEstimate:
     """P( ||X - sqrt(2k) z||_inf > eps ): the unscaled sup-norm event."""
-    return _estimate_tail(cfg, "sup", seed_prefix)
+    return _estimate_tail(cfg, "sup")
 
 
 @functools.lru_cache(maxsize=32)
@@ -367,10 +348,10 @@ def clt_covariance_test(cfg: ExperimentConfig) -> CltReport:
     )
 
 
-def gaussian_reference_tail(
-    N: int, eps: float, trials: int, seed: int, confidence: float = 0.99
-) -> TailEstimate:
-    """Monte Carlo tail of ||Xt||_2 for Xt ~ N(0, diag(1, 1/2, ..., 1/N)).
+def gaussian_reference_tail(N: int, eps: float, trials: int,
+                            seed: int) -> TailEstimate:
+    """Monte Carlo tail of ||Xt||_2 for Xt ~ N(0, diag(1, 1/2, ..., 1/N)),
+    with its exact 99% binomial interval.
 
     Used to validate gaussian_tail_bound by dominance; E||Xt||_2^2 is the
     harmonic number H_N.
@@ -379,7 +360,6 @@ def gaussian_reference_tail(
     check_threshold(eps)
     check_trials(trials)
     check_seed(seed)
-    check_confidence(confidence)
     scale = 1.0 / np.sqrt(np.arange(1, N + 1, dtype=float))
 
     def draw(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -387,7 +367,7 @@ def gaussian_reference_tail(
 
     [[hits]] = _run_workers(seed, 1, trials, draw,
                             functools.partial(_hits_over, [eps]))
-    return _tail_estimate(hits, trials, confidence)
+    return _tail_estimate(hits, trials, 0.99)
 
 
 # ----------------------------------------------------------------------
@@ -411,15 +391,6 @@ def format_cell(value) -> str:
     return str(value)
 
 
-def _sweep_header(trials: int, seed: int, workers: int, confidence: float) -> list[str]:
-    return [
-        "# betafreeze sweep",
-        f"# trials={trials} seed={seed} workers={workers} "
-        f"confidence={format_float(confidence)}",
-        SWEEP_COLUMNS,
-    ]
-
-
 def _tighter(bd: _bounds.BoundBreakdown, di: float) -> str:
     """Which bound is sharper at this grid point.
 
@@ -440,7 +411,7 @@ def sweep(
     seed: int,
     workers: int = 1,
     confidence: float = 0.99,
-    out: str | None = None,
+    out: str | os.PathLike | None = None,
 ) -> str:
     """Bound-vs-empirical comparison over a (N, k, c) grid; returns CSV text.
 
@@ -448,22 +419,23 @@ def sweep(
     scaled-l2 tail with its exact interval, the explicit bound's breakdown,
     the log-threshold bound (raw formula, validity flagged separately), the
     sup-norm baseline at the converted threshold sqrt(2k) eps, and the
-    sharper-bound indicator.  The settings shared by every point (trials,
-    seed, workers, confidence) and every grid point's n, k and c are
-    checked before ``out`` is opened: each n, like trials, seed and workers,
-    must be an integer (``errors.check_integer``; 2.0 is rejected, not
-    converted), each k and c a real in its domain (``errors.check_real``;
-    a str or bool is rejected), taken as a float once checked, and each
-    (k, c) must give a positive eps (:func:`betafreeze.bounds.cor_eps`).
-    The grid is read once, so one-shot iterables give every point.
+    sharper-bound indicator.  The settings shared by every point and every
+    grid point's n, k and c are checked before anything is drawn or opened:
+    each n, like trials, seed and workers, must be an integer
+    (``errors.check_integer``; 2.0 is rejected, not converted), each k and
+    c a real in its domain (``errors.check_real``; a str or bool is
+    rejected), taken as a float once checked, each (k, c) must give a
+    positive eps (:func:`betafreeze.bounds.cor_eps`), and ``out`` is None
+    or a path (a str or ``os.PathLike`` without a NUL byte).  The grid is
+    read once, so one-shot iterables give every point.
 
     The law of X depends on (N, k) alone, so each (N, k) group is drawn
-    once, on the stream prefix (group index,) in (N, k) order, and every c
-    of the group is counted from the same norms: a row's hits equal
-    ``estimate_tail_l2`` at its eps with that prefix.  Each row keeps its
-    exact marginal law, but the rows of one group share their draws, so
-    their hits are nested (non-increasing in c) and dependent; a
-    Bonferroni-style check over rows still holds.  With one c the group
+    once, on ``worker_streams(seed, workers, (group,))`` with the group
+    index in (N, k) order, and every c of the group is counted from the
+    same norms: a row's hits equal a one-threshold count at its eps on
+    those streams.  Each row keeps its exact marginal law, but the rows of
+    one group share their draws, so their hits are nested (non-increasing
+    in c) and dependent; a Bonferroni-style check over rows still holds.  With one c the group
     index is the point index.  If ``out`` is given, rows are written and
     flushed incrementally so a failing group leaves the rows of every
     earlier group on disk (the exception is then re-raised).
@@ -473,6 +445,10 @@ def sweep(
     check_seed(seed)
     check_workers(workers)
     check_confidence(confidence)
+    if out is not None and (not isinstance(out, (str, os.PathLike))
+                            or "\0" in os.fsdecode(out)):
+        raise InvalidConfig(
+            f"out must be a file path, got {shown(out, repr)}")
     for n in ns:
         check_size(n)
     for k in ks:
@@ -483,7 +459,9 @@ def sweep(
     # Formed before out is opened: eps underflows at a large k and small c.
     epss = {k: [_bounds.cor_eps(k, c) for c in cs] for k in ks}
     groups = [(n, k) for n in ns for k in ks] if cs else []
-    lines = _sweep_header(trials, seed, workers, confidence)
+    lines = ["# betafreeze sweep",
+             f"# trials={trials} seed={seed} workers={workers} "
+             f"confidence={format_float(confidence)}", SWEEP_COLUMNS]
     handle = open(out, "w") if out is not None else None
     try:
         if handle is not None:

@@ -13,7 +13,8 @@ import os
 
 import numpy as np
 
-from .errors import InvalidConfig, check_integer, check_seed, check_workers
+from .errors import (InvalidConfig, check_integer, check_seed, check_workers,
+                     shown)
 
 #: Environment variable consulted by the CLI for a default seed.
 SEED_ENV_VAR = "BETAFREEZE_SEED"
@@ -56,7 +57,8 @@ def worker_streams(
     check_seed(seed)
     check_workers(workers)
     if not isinstance(prefix, tuple):
-        raise InvalidConfig(f"prefix must be a tuple, got {prefix!r}")
+        raise InvalidConfig(
+            f"prefix must be a tuple, got {shown(prefix, repr)}")
     for entry in prefix:
         check_integer(entry, "prefix entry", 0)
     return [

@@ -32,6 +32,7 @@ from .errors import (
     check_n,
     check_size,
     check_trials,
+    shown,
 )
 from .hermite_core import _inverse_square, compute_zeros
 
@@ -69,7 +70,8 @@ def sample_chi(rng: np.random.Generator, df, size=None):
     try:
         out = rng.gamma(df / 2.0, 2.0, size=size)
     except (TypeError, ValueError) as exc:
-        raise InvalidConfig(f"size {size!r} does not fit df: {exc}") from exc
+        raise InvalidConfig(
+            f"size {shown(size, repr)} does not fit df: {exc}") from exc
     if size is None and np.ndim(out) == 0:
         return math.sqrt(out)
     return np.sqrt(out, out=out)

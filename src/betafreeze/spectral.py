@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import FactorizationFailure, InvalidConfig, check_integer
+from .errors import FactorizationFailure, InvalidConfig, check_integer, shown
 from .hermite_core import (_as_zero_vector, _inverse_square, _no_overflow,
                            _pair_gaps)
 
@@ -103,7 +103,7 @@ def inverse_power_sum(z, p: int) -> float:
     """
     check_integer(p, "p", 2)
     if p not in (2, 4):
-        raise InvalidConfig(f"p must be 2 or 4, got {p}")
+        raise InvalidConfig(f"p must be 2 or 4, got {shown(p)}")
     zv = _as_zero_vector(z)
     diff = _pair_gaps(zv)
     with _no_overflow():

@@ -18,6 +18,7 @@ from .errors import (
     check_confidence,
     check_integer,
     check_trials,
+    shown,
 )
 
 
@@ -30,7 +31,8 @@ def clopper_pearson(hits: int, trials: int, confidence: float = 0.99) -> tuple[f
     check_trials(trials)
     check_integer(hits, "hits", 0)
     if hits > trials:
-        raise InvalidConfig(f"hits must be in [0, trials], got {hits}/{trials}")
+        raise InvalidConfig(
+            f"hits must be in [0, trials], got {shown(hits)}/{shown(trials)}")
     check_confidence(confidence)
     alpha = 1.0 - confidence
     if hits == 0:

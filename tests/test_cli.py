@@ -277,6 +277,22 @@ def test_sweep_config_shape_rejected(text, message, tmp_path, capsys):
     assert message in captured.err
 
 
+@pytest.mark.parametrize("data", [
+    b'{"n": [2], "k": [1e3], "c": [1.0], "trials": 5, "seed": "\xff"}',
+    b"[" * 200_000,
+    b'{"n": [2], "k": [1e3], "c": [1.0], "trials": ' + b"7" * 5000 + b"}",
+], ids=["not-utf8", "nested", "long-int"])
+def test_sweep_config_not_json(data, tmp_path, capsys):
+    # These escaped as UnicodeDecodeError, RecursionError and ValueError
+    # (the 4300-digit limit on integer strings): exit 1 and a traceback.
+    path = tmp_path / "grid.json"
+    path.write_bytes(data)
+    assert main(["sweep", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config file is not valid JSON" in captured.err
+
+
 def test_clt_needs_two_trials(tmp_path, capsys):
     # One trial reported a covariance that no sample measured.
     out = tmp_path / "clt.csv"
@@ -317,17 +333,18 @@ def test_sweep_grid_rejected_before_any_point_runs(cfg, tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
-@pytest.mark.parametrize("out", [[], {}, 3.5, True, 1])
+@pytest.mark.parametrize("out", [[], {}, 3.5, True, 1, "a\0b"])
 def test_sweep_out_must_be_a_path(out, tmp_path, capsys):
     # A list, dict or float raised a TypeError traceback; true and 1 were
-    # taken as file descriptor 1, which the sweep wrote to and closed.
+    # taken as file descriptor 1, which the sweep wrote to and closed; a
+    # NUL byte raised open()'s ValueError (exit 1).
     path = tmp_path / "grid.json"
     path.write_text(json.dumps({"n": [2], "k": [1e3], "c": [1.0],
                                 "trials": 5, "out": out}))
     assert main(["sweep", "--config", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "config key 'out' must be a file path" in captured.err
+    assert "out must be a file path" in captured.err
 
 
 @pytest.mark.parametrize("argv", [

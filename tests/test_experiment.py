@@ -4,6 +4,8 @@ reproducibility, sweep schema and failure semantics."""
 import dataclasses
 import math
 import os
+import subprocess
+import sys
 import warnings
 from concurrent.futures import Future
 
@@ -30,9 +32,9 @@ def test_config_validation():
     base = dict(n=3, k=10.0, trials=100, seed=1, eps=0.5, workers=1,
                 confidence=0.99)
     assert bf.ExperimentConfig(**base).eps == 0.5
-    assert bf.ExperimentConfig(**{**base, "eps": math.inf}).eps == math.inf
     for name, bad in [("n", 1), ("k", 0.0), ("trials", 0), ("seed", -1),
-                      ("eps", -0.5), ("workers", 0), ("confidence", 1.0)]:
+                      ("eps", -0.5), ("eps", math.inf), ("workers", 0),
+                      ("confidence", 1.0)]:
         with pytest.raises(InvalidConfig, match=f"{name} must be"):
             bf.ExperimentConfig(**{**base, name: bad})
     # Only a tail estimate needs eps.
@@ -88,11 +90,12 @@ def test_sup_hits_never_exceed_l2_hits_at_matched_thresholds():
 
 
 def test_trivial_thresholds():
+    # At k = 5, eps = 1e-300 is below every norm and 1e300 above every one.
     base = dict(n=2, k=5.0, trials=500, seed=2)
     all_hit = bf.estimate_tail_l2(bf.ExperimentConfig(eps=1e-300, **base))
     assert all_hit.hits == all_hit.trials
     assert all_hit.p_hat == 1.0 and all_hit.ci_high == 1.0
-    no_hit = bf.estimate_tail_l2(bf.ExperimentConfig(eps=math.inf, **base))
+    no_hit = bf.estimate_tail_l2(bf.ExperimentConfig(eps=1e300, **base))
     assert no_hit.hits == 0
     assert no_hit.p_hat == 0.0 and no_hit.ci_low == 0.0
     assert 0.0 < no_hit.ci_high < 0.02
@@ -378,10 +381,9 @@ def test_gaussian_reference_tail_matches_manual_chunks():
     assert est.trials == CHUNK + 5 and est.hits == hits
 
 
-@pytest.mark.parametrize("kwargs", [{"seed": -1}, {"confidence": 1.5}])
+@pytest.mark.parametrize("kwargs", [{"seed": -1}])
 def test_gaussian_reference_tail_checks_run_settings_first(kwargs, monkeypatch):
-    # A negative seed used to escape as NumPy's ValueError, and a bad
-    # confidence was rejected only after the whole Monte Carlo run.
+    # A negative seed used to escape as NumPy's ValueError.
     def no_run(*args):
         raise AssertionError("the Monte Carlo run started")
 
@@ -438,10 +440,10 @@ def test_sweep_row_consistent_with_direct_calls(zeros_cache):
     assert float(row[17]) == di_eps
     assert float(row[18]) == bf.dette_imhof_bound(n, di_eps)
     # empirical part reproduces the per-point stream (prefix = point index)
-    cfg = bf.ExperimentConfig(n=n, k=k, trials=trials, seed=seed, eps=eps)
-    est = bf.estimate_tail_l2(cfg, seed_prefix=(0,))
-    assert int(row[5]) == est.hits
-    assert float(row[7]) == est.ci_low and float(row[8]) == est.ci_high
+    hits = _hits_by_hand(n, k, eps, trials, seed, 1, (0,), zeros_cache)
+    assert int(row[5]) == hits
+    assert (float(row[7]), float(row[8])) == bf.clopper_pearson(hits, trials,
+                                                                0.99)
 
 
 def test_sweep_bound_dominance_where_applicable():
@@ -484,14 +486,29 @@ def _sweep_rows(text):
     return [row.split(",") for row in text.strip().split("\n")[3:]]
 
 
+def _hits_by_hand(n, k, eps, trials, seed, workers, prefix, zeros_cache):
+    """Trials with ||X/sqrt(2k) - z||_2 > eps, by the documented execution
+    model: worker w draws its block of the static partition from
+    worker_streams(seed, workers, prefix)[w] in chunks of CHUNK."""
+    z = zeros_cache(n).zeros
+    streams = bf.worker_streams(seed, min(workers, trials), prefix)
+    hits = 0
+    for rng, t in zip(streams, _partition(trials, len(streams))):
+        for start in range(0, t, CHUNK):
+            lam = bf.sample_eigenvalue_batch(n, k, rng, min(CHUNK, t - start))
+            ys = lam / math.sqrt(2.0 * k) - z
+            hits += int(np.count_nonzero(np.sqrt(np.sum(ys * ys, axis=1)) > eps))
+    return hits
+
+
 @pytest.mark.parametrize("cs, workers", [
     ([0.5], 1), ([0.5, 1.0, 1.5], 1), ([0.5, 1.0, 1.5], 2),
 ], ids=["one-c", "three-c", "three-c-2-workers"])
-def test_sweep_rows_of_a_group_share_its_draws(cs, workers):
+def test_sweep_rows_of_a_group_share_its_draws(cs, workers, zeros_cache):
     # Every c of one (N, k) is counted from the group's draws: each row
-    # equals estimate_tail_l2 at that row's eps on the prefix (group index,)
-    # (with one c, the point index), and the hits are nested,
-    # non-increasing in c.
+    # equals a one-threshold count at that row's eps on
+    # worker_streams(seed, workers, (group index,)) (with one c, the point
+    # index), and the hits are nested, non-increasing in c.
     ns, ks, trials, seed = [2, 3], [1e3, 1e4], 3001, 8
     text = bf.sweep(ns, ks, cs, trials=trials, seed=seed, workers=workers)
     rows = _sweep_rows(text)
@@ -500,11 +517,11 @@ def test_sweep_rows_of_a_group_share_its_draws(cs, workers):
         group_rows = rows[group * len(cs):(group + 1) * len(cs)]
         for c, row in zip(cs, group_rows):
             assert (int(row[0]), float(row[1]), float(row[2])) == (n, k, c)
-            cfg = bf.ExperimentConfig(n=n, k=k, trials=trials, seed=seed,
-                                      eps=float(row[3]), workers=workers)
-            est = bf.estimate_tail_l2(cfg, seed_prefix=(group,))
-            assert int(row[5]) == est.hits
-            assert float(row[7]) == est.ci_low and float(row[8]) == est.ci_high
+            hits = _hits_by_hand(n, k, float(row[3]), trials, seed, workers,
+                                 (group,), zeros_cache)
+            assert int(row[5]) == hits
+            assert ((float(row[7]), float(row[8]))
+                    == bf.clopper_pearson(hits, trials, 0.99))
         hits = [int(row[5]) for row in group_rows]
         assert hits == sorted(hits, reverse=True)
     assert any(int(row[5]) > 0 for row in rows)
@@ -608,6 +625,51 @@ def test_tail_at_tiny_k_counts_overflowing_norms():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert bf.estimate_tail_l2(cfg).hits == want
+
+
+@pytest.mark.parametrize("out", [3.5, b"sweep.csv", [], "a\0b"],
+                         ids=["float", "bytes", "list", "nul"])
+def test_sweep_out_must_be_a_path(out, monkeypatch):
+    def no_run(*args):
+        raise AssertionError("the Monte Carlo run started")
+
+    monkeypatch.setattr(experiment, "_run_workers", no_run)
+    with pytest.raises(InvalidConfig, match="out must be a file path"):
+        bf.sweep([2], [1e3], [1.0], trials=5, seed=1, out=out)
+
+
+def test_sweep_out_takes_a_path_object(tmp_path):
+    out = tmp_path / "sweep.csv"
+    text = bf.sweep([2], [1e3], [1.0], trials=5, seed=1, out=out)
+    assert out.read_text() == text
+
+
+def test_sweep_out_is_never_a_file_descriptor():
+    # An int was taken as a file descriptor: the CSV went into it and the
+    # sweep closed it.
+    read_fd, write_fd = os.pipe()
+    try:
+        with pytest.raises(InvalidConfig, match="out must be a file path"):
+            bf.sweep([2], [1e3], [1.0], trials=5, seed=1, out=write_fd)
+        assert os.write(write_fd, b"x") == 1
+        assert os.read(read_fd, 2) == b"x"
+    finally:
+        os.close(read_fd)
+        os.close(write_fd)
+
+
+def test_sweep_out_true_leaves_stdout_open():
+    # out=True was file descriptor 1: the sweep wrote to stdout and closed
+    # it.  Run apart, so that no outcome can close this process's stdout.
+    code = ("import betafreeze as bf\n"
+            "try:\n"
+            "    bf.sweep([2], [1e3], [1.0], trials=5, seed=1, out=True)\n"
+            "except bf.InvalidConfig as exc:\n"
+            "    print(exc)\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True)
+    assert (r.returncode, r.stdout) == (
+        0, "out must be a file path, got True\n"), r.stderr
 
 
 def test_sweep_writes_file_and_returns_same_text(tmp_path):

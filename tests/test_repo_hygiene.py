@@ -1,9 +1,11 @@
 """Repository hygiene: no tracked file is one that .gitignore ignores, the
 package's own imports sit at module level and form no cycle, one function
-splits trials into chunks and builds the worker streams, and every name the
-package exports is read somewhere outside ``__init__``."""
+splits trials into chunks and builds the worker streams, every name the
+package exports is read somewhere outside ``__init__``, and every parameter
+with a default that an export takes is set at some call."""
 
 import ast
+import inspect
 import re
 import shutil
 import subprocess
@@ -108,17 +110,58 @@ def _loaded_names(source: str) -> set[str]:
             and isinstance(node.ctx, ast.Load)}
 
 
-def test_every_export_is_read():
-    # The package docstring's rule: each name in betafreeze.__all__ is read
-    # by another module of the package, the benchmark, the acceptance tests
-    # or README's example; an export that none of them reads is dead API.
+def _caller_sources() -> list[str]:
+    """The package's modules but ``__init__``, the benchmark, the acceptance
+    tests and README's Python example: the code the API serves."""
     paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.stem != "__init__"]
     paths += sorted((ROOT / "perfbench").glob("*.py"))
     paths.append(ROOT / "tests" / "test_acceptance.py")
     sources = [p.read_text() for p in paths]
-    sources += re.findall(r"^```python\n(.*?)^```$",
-                          (ROOT / "README.md").read_text(),
-                          re.MULTILINE | re.DOTALL)
-    loaded = set().union(*map(_loaded_names, sources))
+    return sources + re.findall(r"^```python\n(.*?)^```$",
+                                (ROOT / "README.md").read_text(),
+                                re.MULTILINE | re.DOTALL)
+
+
+def test_every_export_is_read():
+    # The package docstring's rule: each name in betafreeze.__all__ is read
+    # by another module of the package, the benchmark, the acceptance tests
+    # or README's example; an export that none of them reads is dead API.
+    loaded = set().union(*map(_loaded_names, _caller_sources()))
     unread = [name for name in bf.__all__ if name not in loaded]
     assert not unread, f"exported but read nowhere: {unread}"
+
+
+def _set_parameters(call: ast.Call, params: list) -> set[str]:
+    """The names among ``params`` (a signature's parameters) that ``call``
+    sets: by keyword, by position, or all of them through * or **."""
+    if (any(isinstance(arg, ast.Starred) for arg in call.args)
+            or any(kw.arg is None for kw in call.keywords)):
+        return {p.name for p in params}
+    positional = [p.name for p in params
+                  if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+    return ({kw.arg for kw in call.keywords}
+            | set(positional[:len(call.args)]))
+
+
+def test_every_public_parameter_is_set():
+    # test_every_export_is_read's rule for parameters: each parameter with
+    # a default of a callable in betafreeze.__all__ is set at some call in
+    # the same sources; one that no caller sets is a dead setting.
+    # Exception classes have no signature and take what Exception takes.
+    exports = {name: getattr(bf, name) for name in bf.__all__}
+    params = {name: list(inspect.signature(obj).parameters.values())
+              for name, obj in exports.items() if callable(obj)
+              and not (isinstance(obj, type) and issubclass(obj, Exception))}
+    unset = {(name, p.name) for name, ps in params.items() for p in ps
+             if p.default is not p.empty}
+    for tree in map(ast.parse, _caller_sources()):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(
+                    func, "attr", None)
+                if name in params:
+                    unset -= {(name, p) for p in
+                              _set_parameters(node, params[name])}
+    unset = sorted(f"{name}({p})" for name, p in unset)
+    assert not unset, f"defaulted but set by no caller: {unset}"
