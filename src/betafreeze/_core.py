@@ -89,11 +89,9 @@ this module imports nothing from the package but ``errors``.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
-from .errors import MAX_N, ConvergenceFailure, InvalidConfig, check_size
+from .errors import MAX_N, ConvergenceFailure, InvalidConfig, cached_by_size
 
 #: The eigensolver paths, for run reports (the benchmark manifest reads it).
 BACKEND = "closed-form-n2+frozen-newton+dense-eigvalsh"
@@ -218,8 +216,7 @@ def _frozen_gate(e: np.ndarray) -> np.ndarray:
         return total >= (n - 1) * np.sqrt(_FROZEN_MIN_K)
 
 
-# typed: a float n equal to a cached NumPy integer n must not skip the check.
-@functools.lru_cache(maxsize=32, typed=True)
+@cached_by_size
 def first_order_map(n: int) -> np.ndarray:
     """(n, 2n-1) matrix A of the first-order eigenvalue perturbation.
 
@@ -238,7 +235,6 @@ def first_order_map(n: int) -> np.ndarray:
     its eigenvalues, so A (d, e) is the first-order eigenvalue estimate
     whatever the scale k.  Results are cached by n and read-only.
     """
-    check_size(n)
     t0 = np.diag(np.sqrt(np.arange(n - 1, 0, -1, dtype=float)), 1)
     _, vecs = np.linalg.eigh(t0 + t0.T)
     v = vecs[:, ::-1]

@@ -173,25 +173,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    # One worker's chunks, each written as soon as it is drawn, so memory
+    # One block at a time, each written as soon as it is drawn, so memory
     # does not grow with trials; the header waits for the first draw, which
     # validates n and k, so rejected input prints nothing.
-    def write(chunks) -> None:
-        trial = 0
-        for lam in chunks:
-            if trial == 0:
-                sys.stdout.write("trial,i,lambda_i\n")
-            sys.stdout.write("".join(
-                f"{r},{i},{format_float(float(v))}\n"
-                for r, row in enumerate(lam, start=trial)
-                for i, v in enumerate(row, start=1)
-            ))
-            trial += len(lam)
-
-    _experiment._run_workers(
-        _seed(args), 1, args.trials,
-        lambda rng, m: _sampler.sample_eigenvalue_batch(args.n, args.k, rng, m),
-        write)
+    trial = 0
+    for lam in _experiment._run_workers(
+            _seed(args), 1, args.trials, args.n,
+            lambda rng, m: _sampler.sample_eigenvalue_batch(
+                args.n, args.k, rng, m)):
+        if trial == 0:
+            sys.stdout.write("trial,i,lambda_i\n")
+        sys.stdout.write("".join(
+            f"{r},{i},{format_float(float(v))}\n"
+            for r, row in enumerate(lam, start=trial)
+            for i, v in enumerate(row, start=1)
+        ))
+        trial += len(lam)
     return 0
 
 

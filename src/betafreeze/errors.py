@@ -18,6 +18,7 @@ at least 2 finite numbers.  An array comes in through :func:`as_array`, so
 a ragged sequence is rejected like any other non-numeric array.
 """
 
+import functools
 import math
 import sys
 
@@ -89,6 +90,19 @@ def check_size(n: int, name: str = "n") -> None:
     check_integer(n, name, 2)
     if n > MAX_N:
         raise InvalidConfig(f"{name} must be <= {MAX_N}, got {shown(n)}")
+
+
+def cached_by_size(fn):
+    """``fn(n)`` cached by n, with n checked by :func:`check_size` first, so
+    an n the cache cannot hash (a list) is rejected like any other one."""
+    cached = functools.lru_cache(maxsize=32, typed=True)(fn)
+
+    @functools.wraps(fn)
+    def checked(n):
+        check_size(n)
+        return cached(n)
+
+    return checked
 
 
 def check_real(value, name: str, low: float = -math.inf,
@@ -168,6 +182,7 @@ __all__ = [
     "check_real",
     "check_n",
     "check_size",
+    "cached_by_size",
     "check_k",
     "check_trials",
     "check_seed",

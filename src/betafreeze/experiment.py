@@ -1,20 +1,16 @@
 """Monte Carlo experiments: tail estimation, limit-covariance tests, sweeps.
 
-Execution model: ``trials`` are split across ``workers`` by a static block
-partition; worker w draws from its own counter-based stream keyed on
-(seed, ..., w) and results are merged in worker order, so every experiment
-is a pure function of (config, seed, workers) - bit-identical on repeat runs
-- while different worker counts give statistically equivalent results.
-Within a worker, sampling proceeds in fixed chunks of 65536 trials (the
-chunk size is part of the reproducibility envelope).  :func:`_run_workers`
-is the one chunk loop: it hands each worker its stream and block of trials,
-draws the block chunk by chunk and feeds the draws to a reducer.  Every
-command samples through it (``tail``, ``sweep``, ``clt``, ``sample`` and the
-Gaussian reference tail), and :func:`_hits_over` is the one reducer that
-counts tail hits, for one threshold or several read from the same draws.
-A sweep draws each (N, k) once, on the stream prefix (group index,), and
-counts every c of the group from the same norms: the rows of one group
-share their draws, so their hits are nested and the rows are dependent.
+Execution model: ``trials`` are cut into blocks of ``BLOCK`` = 4096 (16
+``BLOCK`` at n = 2; the last holds the rest), block b draws from its own
+counter-based stream keyed on (seed, ..., b, 0), and the block results
+merge in block order.  So every experiment is a pure function of (config,
+seed), bit-identical for every worker count: ``workers`` sets only how
+many blocks run at once.  :func:`_run_workers` is the one block loop, and
+every command samples through it; :func:`_hits_over` is the one reducer
+that counts tail hits, for one threshold or several read from the same
+draws.  A sweep draws each (N, k) once, on the stream prefix (group
+index,), and counts every c of the group from the same norms: the rows of
+one group share their draws, so their hits are nested and dependent.
 
 Norm conventions: the scaled residual Y_s = X/sqrt(2k) - z is the primary
 per-trial quantity.  The l2 event is ||Y_s||_2 > eps directly; the sup-norm
@@ -25,12 +21,13 @@ sup_u == sqrt(2k) * sup_s hold exactly, bit for bit, by construction.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -53,8 +50,11 @@ from .rng import worker_streams
 from .spectral import build_precision
 from .stats import RunningMoments, clopper_pearson
 
-#: Trials drawn per sampling call; fixed, part of the reproducibility contract.
-CHUNK = 65536
+#: Trials per block, each drawn from its own stream in one sampling call;
+#: fixed, part of the reproducibility contract.  At n = 2, where a trial
+#: costs a few NumPy passes, a block holds 16 BLOCK: two threads ran the
+#: N = 2 tail about 25 % slower on blocks of 4096 trials.
+BLOCK = 4096
 
 SWEEP_COLUMNS = (
     "N,k,c,eps,trials,hits,p_hat,ci_low,ci_high,"
@@ -186,38 +186,38 @@ def _sup(ys: np.ndarray) -> np.ndarray:
     return top
 
 
-def _partition(trials: int, workers: int) -> list[int]:
-    base, extra = divmod(trials, workers)
-    return [base + (1 if w < extra else 0) for w in range(workers)]
+def _run_workers(seed: int, workers: int, trials: int, n: int,
+                 work: Callable, prefix: tuple[int, ...] = ()) -> Iterator:
+    """work(rng, m) for each block of trials at size n, in block order.
 
-
-def _run_workers(seed: int, workers: int, trials: int, draw: Callable,
-                 reduce: Callable, prefix: tuple[int, ...] = ()) -> list:
-    """reduce(chunks) for each worker's stream and block of trials.
-
-    Worker w gets worker_streams(seed, workers, prefix)[w] and the w-th
-    block of the static partition; ``chunks`` lazily yields draw(rng, m)
-    for m = CHUNK, ..., CHUNK, remainder over that block.  Results are
-    returned in worker order regardless of scheduling.  Workers beyond the
-    first ``trials`` would get no trials, so no stream is built for them.
-    The pool has at most one thread per CPU; each logical worker keeps its
-    own stream and block, so the results do not depend on the pool size.
+    With B = BLOCK (16 BLOCK at n = 2), block b holds the m = min(B, trials
+    - b B) trials from b B on and draws from rng = worker_streams(seed, 1,
+    prefix + (b,))[0], built in the thread that runs the block.
+    min(workers, blocks, CPUs) threads run the blocks, the caller's alone
+    when that is one, and at most two blocks per thread run ahead of the
+    one the caller takes next: neither memory nor start-up cost grows with
+    ``workers``, and the results do not depend on it.
     """
     check_trials(trials)
-    workers = min(workers, trials)
-    streams = worker_streams(seed, workers, prefix=prefix)
+    size = 16 * BLOCK if n == 2 else BLOCK
+    blocks = range(-(-trials // size))
 
-    def run(rng: np.random.Generator, t: int):
-        return reduce(draw(rng, min(CHUNK, t - start))
-                      for start in range(0, t, CHUNK))
+    def run(b: int):
+        [rng] = worker_streams(seed, 1, prefix + (b,))
+        return work(rng, min(size, trials - b * size))
 
-    jobs = list(zip(streams, _partition(trials, workers)))
-    if len(jobs) <= 1:
-        return [run(rng, t) for rng, t in jobs]
-    threads = min(len(jobs), os.cpu_count() or 1)
+    threads = min(workers, len(blocks), os.cpu_count() or 1)
+    if threads == 1:
+        yield from map(run, blocks)
+        return
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(run, rng, t) for rng, t in jobs]
-        return [f.result() for f in futures]
+        pending = collections.deque()
+        for b in blocks:
+            if len(pending) == 2 * threads:
+                yield pending.popleft().result()
+            pending.append(pool.submit(run, b))
+        while pending:
+            yield pending.popleft().result()
 
 
 def _tail_estimate(hits: int, trials: int, confidence: float) -> TailEstimate:
@@ -228,31 +228,26 @@ def _tail_estimate(hits: int, trials: int, confidence: float) -> TailEstimate:
 def _count_hits(cfg: ExperimentConfig, norm: str, thresholds: list[float],
                 prefix: tuple[int, ...] = ()) -> list[int]:
     """Trials with norm > eps, for each eps in ``thresholds``, all counted
-    from one set of ``cfg.trials`` draws at (cfg.n, cfg.k) on
-    ``worker_streams(cfg.seed, cfg.workers, prefix)``.  ``norm`` is "l2"
-    (the scaled residual) or "sup" (the unscaled one)."""
+    from one set of ``cfg.trials`` draws at (cfg.n, cfg.k) on the block
+    streams of ``prefix``.  ``norm`` is "l2" (the scaled residual) or "sup"
+    (the unscaled one)."""
     z = compute_zeros(cfg.n).zeros
     sqrt2k = math.sqrt(2.0 * cfg.k)
 
-    def draw(rng: np.random.Generator, m: int) -> np.ndarray:
+    def count(rng: np.random.Generator, m: int) -> np.ndarray:
         ys = _sampler.sample_eigenvalue_batch(cfg.n, cfg.k, rng, m)
         ys /= sqrt2k
         ys -= z
-        return _l2(ys) if norm == "l2" else sqrt2k * _sup(ys)
+        return _hits_over(thresholds,
+                          _l2(ys) if norm == "l2" else sqrt2k * _sup(ys))
 
-    per_worker = _run_workers(cfg.seed, cfg.workers, cfg.trials, draw,
-                              functools.partial(_hits_over, thresholds),
-                              prefix)
-    return [sum(worker_hits) for worker_hits in zip(*per_worker)]
+    return sum(_run_workers(cfg.seed, cfg.workers, cfg.trials, cfg.n, count,
+                            prefix)).tolist()
 
 
-def _hits_over(thresholds: list[float], chunks: Iterable) -> list[int]:
-    """Norms above each eps in ``thresholds``, over every chunk of norms."""
-    hits = [0] * len(thresholds)
-    for norms in chunks:
-        for i, eps in enumerate(thresholds):
-            hits[i] += int(np.count_nonzero(norms > eps))
-    return hits
+def _hits_over(thresholds: list[float], norms: np.ndarray) -> np.ndarray:
+    """Norms above each eps in ``thresholds``, in one block of norms."""
+    return np.array([np.count_nonzero(norms > eps) for eps in thresholds])
 
 
 def _estimate_tail(cfg: ExperimentConfig, norm: str) -> TailEstimate:
@@ -302,10 +297,10 @@ def clt_covariance_test(cfg: ExperimentConfig) -> CltReport:
     Y - Y_lin = O(1/sqrt(k)) makes its sampling noise far smaller than that
     of the plain Cov_emp(Y), which is reported alongside.  Y and g are
     accumulated with the numerically stable one-pass mean/comoment scheme,
-    chunked and merged in worker order (deterministic); A is applied once,
-    to the merged moments.  The draws are the ones the tail experiments
-    use.  The reference covariance is S^-1 from the spectral module,
-    computed once per n.  A covariance needs at least 2 trials.
+    block by block, and merged in block order (deterministic); A is applied
+    once, to the merged moments.  The draws are the ones the tail
+    experiments use.  The reference covariance is S^-1 from the spectral
+    module, computed once per n.  A covariance needs at least 2 trials.
     """
     n = cfg.n
     z = compute_zeros(n).zeros
@@ -315,20 +310,19 @@ def clt_covariance_test(cfg: ExperimentConfig) -> CltReport:
     var_e = _sampler.chi_variance(_sampler._offdiag_dof(n, cfg.k)) / 2.0
     cov_g = np.diag(np.concatenate([np.ones(n), var_e]))
 
-    def accumulate(chunks) -> tuple[RunningMoments, RunningMoments]:
+    def accumulate(rng: np.random.Generator,
+                   m: int) -> tuple[RunningMoments, RunningMoments]:
+        d, e = _sampler.sample_tridiagonal_batch(n, cfg.k, rng, m)
         acc_y = RunningMoments(n)
+        acc_y.add_batch(_core.eigvals_batch(d, e) - sqrt2k * z)
         acc_g = RunningMoments(2 * n - 1)
-        for d, e in chunks:
-            acc_y.add_batch(_core.eigvals_batch(d, e) - sqrt2k * z)
-            acc_g.add_batch(np.concatenate([d, e], axis=1))
+        acc_g.add_batch(np.concatenate([d, e], axis=1))
         return acc_y, acc_g
 
     total_y = RunningMoments(n)
     total_g = RunningMoments(2 * n - 1)
-    for acc_y, acc_g in _run_workers(
-            cfg.seed, cfg.workers, cfg.trials,
-            lambda rng, m: _sampler.sample_tridiagonal_batch(n, cfg.k, rng, m),
-            accumulate):
+    for acc_y, acc_g in _run_workers(cfg.seed, cfg.workers, cfg.trials, n,
+                                     accumulate):
         total_y.merge(acc_y)
         total_g.merge(acc_g)
     mean = total_y.mean.copy()
@@ -362,11 +356,10 @@ def gaussian_reference_tail(N: int, eps: float, trials: int,
     check_seed(seed)
     scale = 1.0 / np.sqrt(np.arange(1, N + 1, dtype=float))
 
-    def draw(rng: np.random.Generator, m: int) -> np.ndarray:
-        return _l2(rng.standard_normal((m, N)) * scale)
+    def count(rng: np.random.Generator, m: int) -> np.ndarray:
+        return _hits_over([eps], _l2(rng.standard_normal((m, N)) * scale))
 
-    [[hits]] = _run_workers(seed, 1, trials, draw,
-                            functools.partial(_hits_over, [eps]))
+    [hits] = sum(_run_workers(seed, 1, trials, N, count)).tolist()
     return _tail_estimate(hits, trials, 0.99)
 
 
@@ -430,7 +423,7 @@ def sweep(
     read once, so one-shot iterables give every point.
 
     The law of X depends on (N, k) alone, so each (N, k) group is drawn
-    once, on ``worker_streams(seed, workers, (group,))`` with the group
+    once, on the block streams of the prefix (group,), with the group
     index in (N, k) order, and every c of the group is counted from the
     same norms: a row's hits equal a one-threshold count at its eps on
     those streams.  Each row keeps its exact marginal law, but the rows of
@@ -498,7 +491,7 @@ def _sweep_row(n: int, k: float, c: float, eps: float, est: TailEstimate) -> str
 
 
 __all__ = [
-    "CHUNK",
+    "BLOCK",
     "SWEEP_COLUMNS",
     "TailEstimate",
     "CltReport",

@@ -16,7 +16,6 @@ exposes the exact identities used everywhere downstream:
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
 from dataclasses import dataclass
 
@@ -28,6 +27,7 @@ from .errors import (
     DegenerateInput,
     InvalidConfig,
     as_array,
+    cached_by_size,
     check_k,
     check_n,
     check_real,
@@ -146,8 +146,7 @@ def _newton_ratio(n: int, x: np.ndarray) -> np.ndarray:
 # Zeros
 # ----------------------------------------------------------------------
 
-# typed: a float n equal to a cached NumPy integer n must not skip the check.
-@functools.lru_cache(maxsize=32, typed=True)
+@cached_by_size
 def compute_zeros(n: int) -> HermiteZeros:
     """Zeros of H_n, strictly descending, certified by their fixed-point residual.
 
@@ -164,7 +163,6 @@ def compute_zeros(n: int) -> HermiteZeros:
     no n up to ``errors.MAX_N`` exceeds 0.67x.  Results are cached by n; the
     returned HermiteZeros is immutable, so callers share it.
     """
-    check_size(n)
     guesses = scipy.linalg.eigvalsh_tridiagonal(
         np.zeros(n), np.sqrt(np.arange(1, n) / 2.0)
     )

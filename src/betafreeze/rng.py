@@ -1,10 +1,10 @@
 """Reproducible random-number streams.
 
-All randomness in the package flows through counter-based Philox generators.
-Worker streams are derived from the master seed by spawn keys, so a Monte
-Carlo run is a pure function of ``(seed, workers)``: identical inputs produce
-bit-identical outputs regardless of thread scheduling, and distinct workers
-never share a stream.
+All randomness in the package flows through counter-based Philox generators,
+built only here and keyed by spawn keys on the master seed.  Block b of a
+Monte Carlo run draws from ``worker_streams(seed, 1, prefix + (b,))[0]``,
+keyed on (seed, *prefix, b, 0), so a run is a pure function of its
+configuration and seed, and distinct blocks never share a stream.
 """
 
 from __future__ import annotations
@@ -47,12 +47,12 @@ def master_stream(seed: int) -> np.random.Generator:
 def worker_streams(
     seed: int, workers: int, prefix: tuple[int, ...] = ()
 ) -> list[np.random.Generator]:
-    """Independent per-worker generators.
+    """``workers`` independent generators.
 
     Stream ``w`` is keyed on ``(seed, *prefix, w)`` via a spawn key, so the
     set of streams is splittable and deterministic. ``prefix`` namespaces
-    sub-experiments (e.g. one grid point of a sweep) without collisions; it
-    is a tuple of integers >= 0.
+    sub-experiments (one block of trials, one (N, k) group of a sweep)
+    without collisions; it is a tuple of integers >= 0.
     """
     check_seed(seed)
     check_workers(workers)

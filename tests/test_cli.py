@@ -20,7 +20,7 @@ from betafreeze import experiment as _experiment
 from betafreeze import sampler as _sampler
 from betafreeze.cli import main
 from betafreeze.errors import MAX_N, ConvergenceFailure, InvalidConfig
-from betafreeze.experiment import CHUNK
+from betafreeze.experiment import BLOCK
 
 
 def run_cli(*args, env_extra=None):
@@ -404,19 +404,20 @@ def test_boundary_values_never_print_nan(argv, capsys):
 
 
 # ----------------------------------------------------------------------
-# sample streams one chunk at a time
+# sample streams one block at a time
 # ----------------------------------------------------------------------
 
 def test_sample_across_chunk_boundary_matches_batches(capsys):
-    # Two chunks, the second of 3 trials: the output is the chunk-by-chunk
-    # batch draws of the one stream, trial numbers running on.
-    trials = CHUNK + 3
+    # Two blocks at n = 2, of 16 BLOCK and 3 trials: the output is the batch
+    # draws of block b's stream worker_streams(seed, 1, (b,))[0], block by
+    # block, trial numbers running on.
+    trials = 16 * BLOCK + 3
     assert main(["sample", "--n", "2", "--k", "3", "--trials", str(trials),
                  "--seed", "5"]) == 0
     out = capsys.readouterr().out
-    rng = bf.worker_streams(5, 1)[0]
-    lam = np.concatenate([bf.sample_eigenvalue_batch(2, 3.0, rng, m)
-                          for m in (CHUNK, 3)])
+    lam = np.concatenate([
+        bf.sample_eigenvalue_batch(2, 3.0, bf.worker_streams(5, 1, (b,))[0], m)
+        for b, m in enumerate((16 * BLOCK, 3))])
     want = ["trial,i,lambda_i"] + [
         f"{t},{i},{bf.experiment.format_float(float(v))}"
         for t, row in enumerate(lam) for i, v in enumerate(row, start=1)
@@ -451,10 +452,10 @@ def _sample_peak_rss_mb(trials: int) -> float:
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss units")
 def test_sample_peak_rss_does_not_grow_with_trials():
-    # Holding every line grew peak RSS by ~40 MB from one chunk to three
-    # at n = 2; streaming keeps one chunk's lines at a time.
-    one = _sample_peak_rss_mb(CHUNK)
-    three = _sample_peak_rss_mb(3 * CHUNK)
+    # Holding every line grew peak RSS by ~40 MB from 65536 trials to
+    # 196608 at n = 2; streaming keeps one block's lines at a time.
+    one = _sample_peak_rss_mb(65536)
+    three = _sample_peak_rss_mb(196608)
     assert three - one < 10.0, (one, three)
 
 

@@ -7,9 +7,10 @@ warning that pytest turns into an error).  This is the library's version of
 the CLI's exit-code property.
 
 Each scalar parameter draws a valid value of its kind three times in four,
-else NaN, +-inf, 0, a negative value, None, a str, a bool or, for an
-integer, a float (whole ones among them); a real may also be an int beyond
-float range.  Zero vectors and precision pairs do the same, with values
+else NaN, +-inf, 0, a negative value, None, a str, a bool, a container (a
+list, a tuple or a dict, which a cache cannot hash) or, for an integer, a
+float (whole ones among them); a real may also be an int beyond float
+range.  Zero vectors and precision pairs do the same, with values
 that are not one (a scalar, a str, a 2-D, ragged or one-entry array, a
 NaN or infinite entry, a bool or complex dtype).  A stream prefix does the
 same, with a negative, fractional, str or bool entry or a list for a tuple.
@@ -35,11 +36,21 @@ _ODD = st.sampled_from([
     False, np.float64(math.nan), np.bool_(True),
 ])
 
+#: Containers, which no cache can hash.
+_CONTAINER = st.sampled_from([[2], (2,), {2: 2}])
+
 
 def _mostly(valid, invalid):
     """``valid`` three times in four, else ``invalid``."""
     return st.sampled_from([True, True, True, False]).flatmap(
         lambda ok: valid if ok else invalid)
+
+
+def _odd_or_container(*others):
+    """An invalid scalar: a container one time in two, else an odd value or
+    one of ``others``."""
+    return st.sampled_from([True, False]).flatmap(
+        lambda box: _CONTAINER if box else st.one_of(_ODD, *others))
 
 
 def real(low, high):
@@ -49,8 +60,9 @@ def real(low, high):
     inside = st.floats(low, high)
     return _mostly(
         st.one_of(inside, inside.map(np.float64)),
-        st.one_of(_ODD, st.sampled_from([10**400, 10**5000, -10**5000]),
-                  st.floats(-2.0 * high, 0.0), st.floats(high, 2.0 * high)))
+        _odd_or_container(st.sampled_from([10**400, 10**5000, -10**5000]),
+                          st.floats(-2.0 * high, 0.0),
+                          st.floats(high, 2.0 * high)))
 
 
 def integer(low, high):
@@ -59,8 +71,8 @@ def integer(low, high):
     inside = st.integers(low, high)
     return _mostly(
         st.one_of(inside, inside.map(np.int64)),
-        st.one_of(_ODD, st.integers(low - 3, low - 1), st.just(-10**5000),
-                  inside.map(float), st.floats(low - 1.0, high)))
+        _odd_or_container(st.integers(low - 3, low - 1), st.just(-10**5000),
+                          inside.map(float), st.floats(low - 1.0, high)))
 
 
 N = integer(2, 8)

@@ -16,7 +16,47 @@ import betafreeze as bf
 from betafreeze import _core, experiment
 from betafreeze.cli import main
 from betafreeze.errors import MAX_N, ConvergenceFailure, InvalidConfig
-from betafreeze.experiment import CHUNK, SWEEP_COLUMNS, _partition, format_float
+from betafreeze.experiment import BLOCK, SWEEP_COLUMNS, format_float
+
+
+def _block_size(n):
+    """Trials per block at size n, by the documented layout."""
+    return 16 * BLOCK if n == 2 else BLOCK
+
+
+def _blocks(seed, trials, n, prefix=()):
+    """(stream, trials) of each block, by the documented layout: with B =
+    _block_size(n), block b holds min(B, trials - b B) trials and draws from
+    worker_streams(seed, 1, prefix + (b,))[0], whatever the worker count."""
+    size = _block_size(n)
+    return [(bf.worker_streams(seed, 1, prefix + (b,))[0],
+             min(size, trials - start))
+            for b, start in enumerate(range(0, trials, size))]
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """The experiment's thread pool replaced by one that runs each job at
+    submit time, so no thread starts; returns the pool sizes asked for."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(experiment, "ThreadPoolExecutor", SerialPool)
+    return sizes
 
 
 # ----------------------------------------------------------------------
@@ -42,14 +82,6 @@ def test_config_validation():
     for estimate in (bf.estimate_tail_l2, bf.estimate_tail_sup):
         with pytest.raises(InvalidConfig, match="eps must be given"):
             estimate(no_eps)
-
-
-def test_partition_covers_trials():
-    for trials in (1, 7, 65536, 100001):
-        for workers in (1, 2, 3, 8):
-            counts = _partition(trials, workers)
-            assert sum(counts) == trials and len(counts) == workers
-            assert max(counts) - min(counts) <= 1
 
 
 # ----------------------------------------------------------------------
@@ -113,27 +145,21 @@ def test_tail_reproducible_per_config():
 
 def test_tail_matches_manual_partition(zeros_cache):
     # Re-derive the estimate by hand from the documented execution model:
-    # static block partition; worker w draws from worker_streams(seed, W)[w]
-    # in chunks of CHUNK; merged hit counts.
-    n, k, eps, trials, workers, seed = 3, 80.0, 0.22, 2001, 2, 29
+    # block b of BLOCK trials (the last one holds the rest) draws from
+    # worker_streams(seed, 1, (b,))[0]; merged hit counts.
+    n, k, eps, trials, workers, seed = 3, 80.0, 0.22, 2 * BLOCK + 2001, 2, 29
     cfg = bf.ExperimentConfig(n=n, k=k, trials=trials, seed=seed, eps=eps,
                               workers=workers)
     est = bf.estimate_tail_l2(cfg)
     z = zeros_cache(n).zeros
-    counts = _partition(trials, workers)
-    assert counts == [1001, 1000]
-    streams = bf.worker_streams(seed, workers)
+    blocks = _blocks(seed, trials, n)
+    assert [m for _, m in blocks] == [BLOCK, BLOCK, 2001]
     hits = 0
-    for w, t in enumerate(counts):
-        rng = streams[w]
-        remaining = t
-        while remaining > 0:
-            m = min(CHUNK, remaining)
-            lam = bf.sample_eigenvalue_batch(n, k, rng, m)
-            ys = lam / math.sqrt(2.0 * k) - z
-            l2s = np.sqrt(np.sum(ys * ys, axis=1))
-            hits += int(np.count_nonzero(l2s > eps))
-            remaining -= m
+    for rng, m in blocks:
+        lam = bf.sample_eigenvalue_batch(n, k, rng, m)
+        ys = lam / math.sqrt(2.0 * k) - z
+        l2s = np.sqrt(np.sum(ys * ys, axis=1))
+        hits += int(np.count_nonzero(l2s > eps))
     assert est.hits == hits
     lo, hi = bf.clopper_pearson(hits, trials, 0.99)
     assert est.ci_low == lo and est.ci_high == hi
@@ -167,41 +193,109 @@ def test_worker_counts_statistically_consistent():
     base = dict(n=2, k=200.0, trials=40_000, seed=5, eps=0.12)
     est1 = bf.estimate_tail_l2(bf.ExperimentConfig(workers=1, **base))
     est4 = bf.estimate_tail_l2(bf.ExperimentConfig(workers=4, **base))
-    # different partitions see different draws; their 99% CIs must overlap
-    assert est1.ci_low <= est4.ci_high and est4.ci_low <= est1.ci_high
+    # every worker count sees the same blocks, so the estimates are equal
+    assert est1 == est4
 
 
-def test_thread_pool_capped_at_cpu_count(monkeypatch):
-    cfg = bf.ExperimentConfig(n=3, k=50.0, trials=4000, seed=13, eps=0.2,
-                              workers=8)
+def test_thread_pool_capped_at_cpu_count(monkeypatch, serial_pool):
+    # Four blocks and eight workers: with the CPU count unknown, one
+    # thread, the caller's, runs the blocks; on two CPUs, two threads.
+    cfg = bf.ExperimentConfig(n=3, k=50.0, trials=3 * BLOCK + 5, seed=13,
+                              eps=0.2, workers=8)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
     want = bf.estimate_tail_l2(cfg)
-
-    pool_sizes = []
-
-    class SerialPool:
-        """Runs each job at submit time; records the requested pool size."""
-
-        def __init__(self, max_workers):
-            pool_sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
-
-    monkeypatch.setattr(experiment, "ThreadPoolExecutor", SerialPool)
+    assert serial_pool == []
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert bf.estimate_tail_l2(cfg) == want
-    assert pool_sizes == [2]
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert bf.estimate_tail_l2(cfg) == want
-    assert pool_sizes == [2, 1]
+    assert serial_pool == [2]
+
+
+def test_large_worker_count_costs_one_stream_per_block(monkeypatch, capsys,
+                                                       serial_pool):
+    # --workers 100000 over 100000 trials builds one one-worker stream per
+    # block, ceil(100000 / BLOCK) = 25 of them at n = 3, and a pool of no
+    # more threads than CPUs.
+    real = experiment.worker_streams
+    calls = []
+
+    def streams(seed, workers, prefix=()):
+        calls.append((workers, prefix))
+        return real(seed, workers, prefix)
+
+    monkeypatch.setattr(experiment, "worker_streams", streams)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert main(["tail", "--n", "3", "--k", "1e4", "--c", "1", "--norm",
+                 "l2", "--trials", "100000", "--seed", "1", "--workers",
+                 "100000"]) == 0
+    capsys.readouterr()
+    assert calls == [(1, (b,)) for b in range(25)]
+    assert serial_pool == [4]
+
+
+def test_clt_holds_at_most_two_block_results_per_thread(monkeypatch,
+                                                       serial_pool):
+    # A block's moments are merged before more than two blocks per thread
+    # are drawn ahead of it, so memory does not grow with trials.
+    threads, blocks = 3, 20
+    monkeypatch.setattr(os, "cpu_count", lambda: threads)
+    draw, merge = bf.sample_tridiagonal_batch, bf.RunningMoments.merge
+    drawn, merges, ahead = [], [], []
+
+    def counting_draw(*args):
+        drawn.append(args[-1])
+        ahead.append(len(drawn) - len(merges) // 2)
+        return draw(*args)
+
+    def counting_merge(self, other):
+        merges.append(other.count)
+        return merge(self, other)
+
+    monkeypatch.setattr(experiment._sampler, "sample_tridiagonal_batch",
+                        counting_draw)
+    monkeypatch.setattr(bf.RunningMoments, "merge", counting_merge)
+    bf.clt_covariance_test(bf.ExperimentConfig(
+        n=3, k=100.0, trials=blocks * BLOCK, seed=3, workers=8))
+    assert serial_pool == [threads]
+    assert drawn == [BLOCK] * blocks and len(merges) == 2 * blocks
+    assert max(ahead) == 2 * threads
+
+
+@pytest.mark.parametrize("n", (2, 3, 32))
+def test_results_do_not_depend_on_workers(n, monkeypatch):
+    # Each block draws from its own stream, so workers = 1, 2, 3 and 7
+    # give the same tail estimates, covariance reports, sweep rows and
+    # Gaussian reference tail, bit for bit.  Eight CPUs are reported, so
+    # that as many threads run as the blocks allow; the last block holds
+    # one trial.
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    k, trials, seed = 1e3, 2 * _block_size(n) + 1, 21
+    eps = bf.cor_eps(k, 0.5)
+    run_workers = experiment._run_workers
+
+    def results(workers):
+        base = dict(n=n, k=k, trials=trials, seed=seed, workers=workers)
+        l2 = bf.estimate_tail_l2(bf.ExperimentConfig(eps=eps, **base))
+        sup = bf.estimate_tail_sup(
+            bf.ExperimentConfig(eps=math.sqrt(2.0 * k) * eps, **base))
+        rep = bf.clt_covariance_test(bf.ExperimentConfig(**base))
+        rows = bf.sweep([n], [k], [0.5, 1.0], trials, seed,
+                        workers).splitlines()[3:]
+        # gaussian_reference_tail has no workers: run its blocks on as many
+        monkeypatch.setattr(
+            experiment, "_run_workers",
+            lambda seed, _, *rest: run_workers(seed, workers, *rest))
+        gauss = bf.gaussian_reference_tail(n, 2.0, trials, seed)
+        monkeypatch.setattr(experiment, "_run_workers", run_workers)
+        return l2, sup, rep, rows, gauss
+
+    want = results(1)
+    assert want[0].hits > 0 and want[1].hits > 0 and want[4].hits > 0
+    for workers in (2, 3, 7):
+        l2, sup, rep, rows, gauss = results(workers)
+        assert (l2, sup, rows, gauss) == (want[0], want[1], want[3], want[4])
+        for f in dataclasses.fields(bf.CltReport):
+            np.testing.assert_array_equal(getattr(rep, f.name),
+                                          getattr(want[2], f.name))
 
 
 # ----------------------------------------------------------------------
@@ -287,7 +381,10 @@ def test_clt_plain_diagnostic_is_the_empirical_covariance(
     rep = bf.clt_covariance_test(
         bf.ExperimentConfig(n=n, k=k, trials=trials, seed=seed)
     )
-    lam = bf.sample_eigenvalue_batch(n, k, bf.worker_streams(seed, 1)[0], trials)
+    blocks = _blocks(seed, trials, n)
+    assert [m for _, m in blocks] == [BLOCK, trials - BLOCK]
+    lam = np.concatenate([bf.sample_eigenvalue_batch(n, k, rng, m)
+                          for rng, m in blocks])
     y = lam - math.sqrt(2.0 * k) * zeros_cache(n).zeros
     np.testing.assert_allclose(rep.cov_plain, np.cov(y.T), rtol=0, atol=1e-12)
     np.testing.assert_allclose(rep.mean, y.mean(axis=0), rtol=0, atol=1e-12)
@@ -300,23 +397,22 @@ def test_clt_plain_diagnostic_is_the_empirical_covariance(
 
 
 def test_clt_matches_manual_chunks_and_partition(zeros_cache):
-    # Re-derive mean and plain covariance by hand: worker w draws its block
-    # of the static partition from worker_streams(seed, W)[w] in chunks of
-    # CHUNK, then the remainder; the moments are accumulated chunk by chunk
-    # and merged in worker order.
+    # Re-derive mean and plain covariance by hand: block b draws from
+    # worker_streams(seed, 1, (b,))[0], BLOCK trials and then the
+    # remainder; the moments are accumulated block by block and merged in
+    # block order.
     n, k, seed, workers = 3, 50.0, 23, 2
-    trials = 2 * CHUNK + 3
+    trials = 2 * BLOCK + 3
     rep = bf.clt_covariance_test(bf.ExperimentConfig(
         n=n, k=k, trials=trials, seed=seed, workers=workers))
     shift = math.sqrt(2.0 * k) * zeros_cache(n).zeros
-    blocks = _partition(trials, workers)
-    assert blocks == [CHUNK + 2, CHUNK + 1]
+    blocks = _blocks(seed, trials, n)
+    assert [m for _, m in blocks] == [BLOCK, BLOCK, 3]
     total = bf.RunningMoments(n)
-    for rng, t in zip(bf.worker_streams(seed, workers), blocks):
+    for rng, m in blocks:
         acc = bf.RunningMoments(n)
-        for m in (CHUNK, t - CHUNK):
-            d, e = bf.sample_tridiagonal_batch(n, k, rng, m)
-            acc.add_batch(_core.eigvals_batch(d, e) - shift)
+        d, e = bf.sample_tridiagonal_batch(n, k, rng, m)
+        acc.add_batch(_core.eigvals_batch(d, e) - shift)
         total.merge(acc)
     np.testing.assert_array_equal(rep.mean, total.mean)
     np.testing.assert_array_equal(rep.cov_plain, total.covariance())
@@ -368,17 +464,16 @@ def test_gaussian_reference_tail_basics():
 
 
 def test_gaussian_reference_tail_matches_manual_chunks():
-    # One stream, worker_streams(seed, 1)[0], drawn in a chunk of CHUNK and
-    # then the remainder of 5.
+    # Two blocks, BLOCK trials and then the remainder of 5, block b drawn
+    # from worker_streams(seed, 1, (b,))[0].
     N, eps, seed = 3, 1.5, 8
-    est = bf.gaussian_reference_tail(N, eps, CHUNK + 5, seed)
-    rng = bf.worker_streams(seed, 1)[0]
+    est = bf.gaussian_reference_tail(N, eps, BLOCK + 5, seed)
     scale = 1.0 / np.sqrt(np.arange(1, N + 1, dtype=float))
     hits = 0
-    for m in (CHUNK, 5):
+    for rng, m in _blocks(seed, BLOCK + 5, N):
         x = rng.standard_normal((m, N)) * scale
         hits += int(np.count_nonzero(np.sqrt(np.sum(x * x, axis=1)) > eps))
-    assert est.trials == CHUNK + 5 and est.hits == hits
+    assert est.trials == BLOCK + 5 and est.hits == hits
 
 
 @pytest.mark.parametrize("kwargs", [{"seed": -1}])
@@ -440,7 +535,7 @@ def test_sweep_row_consistent_with_direct_calls(zeros_cache):
     assert float(row[17]) == di_eps
     assert float(row[18]) == bf.dette_imhof_bound(n, di_eps)
     # empirical part reproduces the per-point stream (prefix = point index)
-    hits = _hits_by_hand(n, k, eps, trials, seed, 1, (0,), zeros_cache)
+    hits = _hits_by_hand(n, k, eps, trials, seed, (0,), zeros_cache)
     assert int(row[5]) == hits
     assert (float(row[7]), float(row[8])) == bf.clopper_pearson(hits, trials,
                                                                 0.99)
@@ -460,7 +555,7 @@ def test_sweep_bound_dominance_where_applicable():
 
 def test_sweep_partial_flush_on_failure(tmp_path, monkeypatch):
     # A grid point that fails while it runs (here a solver failure injected
-    # at the second (N, k) group's draw: one chunk per group at 500 trials
+    # at the second (N, k) group's draw: one block per group at 500 trials
     # and one worker) leaves the rows before it on disk.
     out = str(tmp_path / "partial.csv")
     sample = experiment._sampler.sample_eigenvalue_batch
@@ -486,18 +581,15 @@ def _sweep_rows(text):
     return [row.split(",") for row in text.strip().split("\n")[3:]]
 
 
-def _hits_by_hand(n, k, eps, trials, seed, workers, prefix, zeros_cache):
+def _hits_by_hand(n, k, eps, trials, seed, prefix, zeros_cache):
     """Trials with ||X/sqrt(2k) - z||_2 > eps, by the documented execution
-    model: worker w draws its block of the static partition from
-    worker_streams(seed, workers, prefix)[w] in chunks of CHUNK."""
+    model: block b draws from worker_streams(seed, 1, prefix + (b,))[0]."""
     z = zeros_cache(n).zeros
-    streams = bf.worker_streams(seed, min(workers, trials), prefix)
     hits = 0
-    for rng, t in zip(streams, _partition(trials, len(streams))):
-        for start in range(0, t, CHUNK):
-            lam = bf.sample_eigenvalue_batch(n, k, rng, min(CHUNK, t - start))
-            ys = lam / math.sqrt(2.0 * k) - z
-            hits += int(np.count_nonzero(np.sqrt(np.sum(ys * ys, axis=1)) > eps))
+    for rng, m in _blocks(seed, trials, n, prefix):
+        lam = bf.sample_eigenvalue_batch(n, k, rng, m)
+        ys = lam / math.sqrt(2.0 * k) - z
+        hits += int(np.count_nonzero(np.sqrt(np.sum(ys * ys, axis=1)) > eps))
     return hits
 
 
@@ -506,9 +598,9 @@ def _hits_by_hand(n, k, eps, trials, seed, workers, prefix, zeros_cache):
 ], ids=["one-c", "three-c", "three-c-2-workers"])
 def test_sweep_rows_of_a_group_share_its_draws(cs, workers, zeros_cache):
     # Every c of one (N, k) is counted from the group's draws: each row
-    # equals a one-threshold count at that row's eps on
-    # worker_streams(seed, workers, (group index,)) (with one c, the point
-    # index), and the hits are nested, non-increasing in c.
+    # equals a one-threshold count at that row's eps on the block streams
+    # of the prefix (group index,) (with one c, the point index), whatever
+    # the worker count, and the hits are nested, non-increasing in c.
     ns, ks, trials, seed = [2, 3], [1e3, 1e4], 3001, 8
     text = bf.sweep(ns, ks, cs, trials=trials, seed=seed, workers=workers)
     rows = _sweep_rows(text)
@@ -517,7 +609,7 @@ def test_sweep_rows_of_a_group_share_its_draws(cs, workers, zeros_cache):
         group_rows = rows[group * len(cs):(group + 1) * len(cs)]
         for c, row in zip(cs, group_rows):
             assert (int(row[0]), float(row[1]), float(row[2])) == (n, k, c)
-            hits = _hits_by_hand(n, k, float(row[3]), trials, seed, workers,
+            hits = _hits_by_hand(n, k, float(row[3]), trials, seed,
                                  (group,), zeros_cache)
             assert int(row[5]) == hits
             assert ((float(row[7]), float(row[8]))

@@ -1,8 +1,9 @@
 """Repository hygiene: no tracked file is one that .gitignore ignores, the
 package's own imports sit at module level and form no cycle, one function
-splits trials into chunks and builds the worker streams, every name the
-package exports is read somewhere outside ``__init__``, and every parameter
-with a default that an export takes is set at some call."""
+cuts trials into blocks and builds the streams, only rng.py builds a
+generator, every name the package exports is read somewhere outside
+``__init__``, and every parameter with a default that an export takes is
+set at some call."""
 
 import ast
 import inspect
@@ -95,11 +96,27 @@ def _loads_by_owner(names):
 
 def test_one_chunk_loop():
     # experiment._run_workers is the only place that builds worker streams
-    # and splits trials into chunks; every sampling command draws through
-    # it, so the stream layout and the chunk split are written once.
-    uses = _loads_by_owner({"worker_streams", "CHUNK"})
+    # and cuts trials into blocks; every sampling command draws through
+    # it, so the stream layout and the block split are written once.
+    uses = _loads_by_owner({"worker_streams", "BLOCK"})
     assert uses == {("experiment._run_workers", "worker_streams"),
-                    ("experiment._run_workers", "CHUNK")}, sorted(uses)
+                    ("experiment._run_workers", "BLOCK")}, sorted(uses)
+
+
+def test_streams_built_only_in_rng():
+    # Every Generator, SeedSequence and Philox of the package is built in
+    # rng.py, so the stream contract lives in one file.
+    built = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(
+                    func, "attr", None)
+                if name in ("Generator", "SeedSequence", "Philox",
+                            "default_rng"):
+                    built.add((path.stem, name))
+    assert {module for module, _ in built} == {"rng"}, sorted(built)
 
 
 def _loaded_names(source: str) -> set[str]:
